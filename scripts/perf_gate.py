@@ -2,17 +2,26 @@
 """CI performance-regression gate over the BENCH_*.json baselines.
 
 Compares the JSONL rows a fresh bench run produced against the committed
-baseline rows and fails when a tracked metric regressed by more than the
-threshold (default 25%). Tracked metrics:
+baseline rows and fails when a tracked metric regressed. Tracked
+metrics:
 
   bench=dse      key (kernel, threads, mode, family[, device])
-                                              metric candidates_per_sec
-                 plus, for rows with threads > 1, a second gated metric
-                 speedup_vs_serial under the same key + "/speedup" — a
-                 multi-thread run that silently collapses to serial-level
-                 throughput fails even if absolute candidates/sec still
-                 clears the ratchet
+                   searches_per_sec  1 / wall_seconds of the whole search
+                                     (bounding, seeding and evaluation),
+                                     gated against the threshold — a
+                                     search that evaluates fewer
+                                     candidates in less time is faster,
+                                     however few candidates it walks
+                   candidates        the evaluated-candidate count under
+                                     the same key + "/candidates". It is
+                                     deterministic (the same for any
+                                     thread count and on any host), so it
+                                     is gated exactly: any growth fails
+                                     until the baseline is refreshed
   bench=service  key (threads, mode)          metric warm_speedup
+
+Parallel speedup is not gated: on a shared host it tracks contention,
+not code.
 
 The mode suffix ("", "/warm") distinguishes bench_dse's cold rows (fresh
 eval cache) from warm replays (fully cached); rows without a mode field
@@ -33,19 +42,24 @@ coverage regression rather than a timing artifact. Rows without the
 field keep their historical keys, so pre-HBM baselines gate new runs
 unchanged.
 
-All metrics are higher-is-better; a row counts as a regression when
+Timed metrics are higher-is-better; a row counts as a regression when
 
   current < baseline * (1 - threshold)
 
 Rows whose wall_seconds (on either side) falls below --min-wall (default
-0.02 s) are reported but never gated: at sub-floor wall times the metric
-is timer noise, not throughput. Rows are JSONL (one object per line, '#'
-comments and blank lines ignored); when a key appears more than once the
-LAST occurrence wins, matching the append-mode trajectory files
-bench_dse writes by default. A key present in the baseline but missing
-from the current run fails the gate (a silently-skipped benchmark must
-not pass) unless its baseline wall was sub-floor; keys only present in
-the current run are reported but never fail.
+0.02 s) are reported but never gated on timed metrics: at sub-floor wall
+times the metric is timer noise, not speed. Exact (counter) metrics
+ignore both the threshold and the floor: they regress when
+
+  current > baseline
+
+Rows are JSONL (one object per line, '#' comments and blank lines
+ignored); when a key appears more than once the LAST occurrence wins,
+matching the append-mode trajectory files bench_dse writes by default.
+A key present in the baseline but missing from the current run fails
+the gate (a silently-skipped benchmark must not pass) unless its
+baseline wall was sub-floor and the metric is timed; keys only present
+in the current run are reported but never fail.
 
 Usage:
   perf_gate.py [--threshold 0.25] [--min-wall 0.02] \\
@@ -85,7 +99,7 @@ def read_rows(path):
 
 def keyed_metrics(rows):
     """Maps (display key) -> (metric name, value, wall_seconds or None,
-    device_pinned); last occurrence wins."""
+    device_pinned, exact); last occurrence wins."""
     metrics = {}
     for row in rows:
         bench = row.get("bench")
@@ -111,16 +125,13 @@ def keyed_metrics(rows):
             pinned = bool(device)
             if device:
                 key = f"{key}/{device}"
-            value = row.get("candidates_per_sec")
-            if value is not None:
+            if wall is not None and wall > 0.0:
                 metrics[key] = (
-                    "candidates_per_sec", float(value), wall, pinned)
-            speedup = row.get("speedup_vs_serial")
-            threads = row.get("threads")
-            if (speedup is not None and isinstance(threads, int)
-                    and threads > 1):
-                metrics[f"{key}/speedup"] = (
-                    "speedup_vs_serial", float(speedup), wall, pinned)
+                    "searches_per_sec", 1.0 / wall, wall, pinned, False)
+            candidates = row.get("candidates")
+            if candidates is not None:
+                metrics[f"{key}/candidates"] = (
+                    "candidates", float(candidates), wall, pinned, True)
         elif bench == "service":
             key = f"service/t{row.get('threads')}"
             # Batch rows predate the daemon split and carry no mode;
@@ -130,7 +141,8 @@ def keyed_metrics(rows):
                 key = f"{key}/{mode}"
             value = row.get("warm_speedup")
             if value is not None:
-                metrics[key] = ("warm_speedup", float(value), wall, False)
+                metrics[key] = (
+                    "warm_speedup", float(value), wall, False, False)
     return metrics
 
 
@@ -151,12 +163,12 @@ def gate(pairs, threshold, min_wall):
             raise SystemExit(
                 f"error: {baseline_path} holds no gated bench rows")
         for key in sorted(baseline):
-            metric, base_value, base_wall, pinned = baseline[key]
+            metric, base_value, base_wall, pinned, exact = baseline[key]
             base_subfloor = base_wall is not None and base_wall < min_wall
             if key not in current:
                 # Device-pinned rows never get the sub-floor pass: a
                 # missing device leg is a coverage hole, not noise.
-                if base_subfloor and not pinned:
+                if base_subfloor and not pinned and not exact:
                     lines.append(
                         f"| {key} | {metric} | {format_value(base_value)} "
                         f"| *missing* | — | skip (wall < floor) |")
@@ -168,17 +180,20 @@ def gate(pairs, threshold, min_wall):
                     f"| {key} | {metric} | {format_value(base_value)} "
                     f"| *missing* | — | FAIL |")
                 continue
-            _, cur_value, cur_wall, _ = current[key]
+            _, cur_value, cur_wall, _, _ = current[key]
             delta = ((cur_value - base_value) / base_value
                      if base_value != 0 else 0.0)
-            if (base_subfloor
+            if exact:
+                regressed = cur_value > base_value
+            elif (base_subfloor
                     or (cur_wall is not None and cur_wall < min_wall)):
                 lines.append(
                     f"| {key} | {metric} | {format_value(base_value)} "
                     f"| {format_value(cur_value)} | {delta:+.1%} "
                     f"| skip (wall < floor) |")
                 continue
-            regressed = cur_value < base_value * (1.0 - threshold)
+            else:
+                regressed = cur_value < base_value * (1.0 - threshold)
             status = "FAIL" if regressed else "ok"
             if regressed:
                 failures.append(
@@ -188,7 +203,7 @@ def gate(pairs, threshold, min_wall):
                 f"| {key} | {metric} | {format_value(base_value)} "
                 f"| {format_value(cur_value)} | {delta:+.1%} | {status} |")
         for key in sorted(set(current) - set(baseline)):
-            metric, cur_value, _, _ = current[key]
+            metric, cur_value, _, _, _ = current[key]
             lines.append(
                 f"| {key} | {metric} | *new* "
                 f"| {format_value(cur_value)} | — | ok |")
@@ -197,10 +212,12 @@ def gate(pairs, threshold, min_wall):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="fail CI when bench metrics regress past the threshold")
+        description="fail CI when bench metrics regress past the threshold "
+                    "or deterministic counters grow")
     parser.add_argument(
         "--threshold", type=float, default=0.25,
-        help="allowed fractional regression (default 0.25 = 25%%)")
+        help="allowed fractional regression of timed metrics "
+             "(default 0.25 = 25%%)")
     parser.add_argument(
         "--min-wall", type=float, default=0.02,
         help="wall-seconds floor below which a row is timer noise and "

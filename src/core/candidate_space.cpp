@@ -251,12 +251,18 @@ std::vector<DesignConfig> CandidateSpace::heterogeneous_candidates(
   return out;
 }
 
-std::int64_t CandidateSpace::chain_config_count(DesignKind kind) const {
-  std::int64_t total = 0;
-  for (const CandidateChain& chain : chains(kind)) {
-    total += static_cast<std::int64_t>(chain.configs.size());
-  }
-  return total;
+std::int64_t CandidateSpace::size() const {
+  const auto count = [](const auto& axis) {
+    return static_cast<std::int64_t>(axis.size());
+  };
+  const std::int64_t shared_axes =
+      count(replication_factors()) * count(options_->unroll_candidates);
+  const std::int64_t fusions = count(fusion_candidates());
+  return shared_axes * count(parallelism_candidates()) *
+             count(tile_shape_candidates()) * fusions +
+         shared_axes * count(strip_candidates()) *
+             count(temporal_degree_candidates()) +
+         fusions * count(options_->shrink_candidates);
 }
 
 std::vector<CandidateSpace::ChainBlock> CandidateSpace::blocks(

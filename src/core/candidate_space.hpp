@@ -99,8 +99,10 @@ class CandidateSpace {
   std::vector<sim::DesignConfig> heterogeneous_candidates(
       const sim::DesignConfig& baseline) const;
 
-  /// Total configs across chains(kind) — the upper bound on evaluations.
-  std::int64_t chain_config_count(sim::DesignKind kind) const;
+  /// Configs one Optimizer can evaluate: chains(kind) for one kind, the
+  /// temporal chains, and the heterogeneous grid (fusion depths x shrink
+  /// values) of a baseline. Arithmetic over the axes, no enumeration.
+  std::int64_t size() const;
 
   /// Half-open chain index range [first, second) forming one evaluation
   /// block.

@@ -144,7 +144,10 @@ bool EvalCache::insert(const sim::DesignKey& key,
   OverflowShard& shard = overflow_for(start);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const bool inserted = shard.map.emplace(key, value).second;
-  if (inserted) size_.fetch_add(1, std::memory_order_relaxed);
+  if (inserted) {
+    size_.fetch_add(1, std::memory_order_relaxed);
+    spilled_.fetch_add(1, std::memory_order_relaxed);
+  }
   return inserted;
 }
 
@@ -181,6 +184,7 @@ void EvalCache::clear() {
     shard->map.clear();
   }
   size_.store(0, std::memory_order_relaxed);
+  spilled_.store(0, std::memory_order_relaxed);
   for (StatShard& s : stats_) {
     s.hits.store(0, std::memory_order_relaxed);
     s.misses.store(0, std::memory_order_relaxed);

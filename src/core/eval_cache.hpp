@@ -58,10 +58,12 @@ struct CachedEvaluation {
 
 class EvalCache {
  public:
+  /// Default and largest slot-table size: holds a full suite-kernel
+  /// sweep without spilling to the locked overflow map.
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 16;
+
   /// `capacity` is the slot-table size, rounded up to a power of two.
-  /// The default holds a full suite-kernel sweep without spilling to the
-  /// locked overflow map.
-  explicit EvalCache(std::size_t capacity = std::size_t{1} << 16);
+  explicit EvalCache(std::size_t capacity = kMaxCapacity);
 
   /// Returns the cached evaluation for `key`, or runs `compute`, stores
   /// its result, and returns it. `compute` may run concurrently for the
@@ -87,6 +89,11 @@ class EvalCache {
   std::int64_t hits() const;
   std::int64_t misses() const;
   std::int64_t size() const { return size_.load(std::memory_order_relaxed); }
+  /// Entries that found their probe window full and went to the locked
+  /// overflow map (a subset of size()).
+  std::int64_t spilled() const {
+    return spilled_.load(std::memory_order_relaxed);
+  }
   double hit_rate() const;
 
   /// Logically empties the cache (O(1) epoch bump) and zeroes counters.
@@ -132,6 +139,7 @@ class EvalCache {
   std::atomic<std::uint64_t> epoch_{0};
   std::vector<std::unique_ptr<OverflowShard>> overflow_;
   std::atomic<std::int64_t> size_{0};
+  std::atomic<std::int64_t> spilled_{0};
   StatShard stats_[kStatShards];
 };
 

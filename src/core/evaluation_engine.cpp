@@ -93,11 +93,12 @@ DesignPoint to_point(const DesignConfig& config,
 EvaluationEngine::EvaluationEngine(
     const scl::stencil::StencilProgram& program,
     const fpga::DeviceSpec& device, model::ConeMode cone_mode, int threads,
-    bool analyze_candidates, bool deep_ir_analysis)
+    bool analyze_candidates, bool deep_ir_analysis, std::size_t cache_capacity)
     : program_(&program),
       device_(device),
       analyze_candidates_(analyze_candidates),
-      deep_ir_analysis_(deep_ir_analysis) {
+      deep_ir_analysis_(deep_ir_analysis),
+      cache_(cache_capacity) {
   const int resolved = ThreadPool::resolve_threads(threads);
   perf_models_.reserve(static_cast<std::size_t>(resolved));
   resource_models_.reserve(static_cast<std::size_t>(resolved));
@@ -242,6 +243,7 @@ DseStats EvaluationEngine::stats() const {
   stats.candidates_pruned = pruned_.load(std::memory_order_relaxed);
   stats.cache_hits = cache_.hits();
   stats.cache_misses = cache_.misses();
+  stats.cache_spills = cache_.spilled();
   stats.wall_seconds =
       static_cast<double>(wall_nanos_.load(std::memory_order_relaxed)) * 1e-9;
   stats.threads = pool_->thread_count();

@@ -37,6 +37,7 @@ struct DseStats {
   std::int64_t candidates_pruned = 0;     ///< skipped via lower bounds
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
+  std::int64_t cache_spills = 0;  ///< entries in the locked overflow map
   double wall_seconds = 0.0;  ///< time inside batch/chain evaluation
   int threads = 1;
 
@@ -61,10 +62,12 @@ class EvaluationEngine {
   /// `deep_ir_analysis` additionally generates each candidate's OpenCL
   /// and runs the pass-4 kernel-IR checks; its errors share the same
   /// analysis_errors filter. Requires analyze_candidates.
+  /// `cache_capacity` sizes the EvalCache slot table.
   EvaluationEngine(const scl::stencil::StencilProgram& program,
                    const fpga::DeviceSpec& device, model::ConeMode cone_mode,
                    int threads, bool analyze_candidates = false,
-                   bool deep_ir_analysis = false);
+                   bool deep_ir_analysis = false,
+                   std::size_t cache_capacity = EvalCache::kMaxCapacity);
 
   /// Evaluates one configuration through the cache (always on the calling
   /// thread). Thread-safe.

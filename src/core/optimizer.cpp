@@ -68,7 +68,12 @@ Optimizer::Optimizer(const StencilProgram& program, OptimizerOptions options)
       options_(std::move(options)),
       space_(program, options_),
       engine_(program, options_.device, options_.cone_mode, options_.threads,
-              options_.analyze_candidates, options_.deep_ir_analysis) {
+              options_.analyze_candidates, options_.deep_ir_analysis,
+              // Room for every config the space holds, so even the
+              // exhaustive searches stay on the lock-free slot table,
+              // without paying for the largest table on small spaces.
+              static_cast<std::size_t>(std::min<std::int64_t>(
+                  space_.size(), EvalCache::kMaxCapacity))) {
   SCL_CHECK(options_.resource_fraction > 0.0 &&
                 options_.resource_fraction <= 1.0,
             "resource fraction must be in (0, 1]");
@@ -123,36 +128,43 @@ std::optional<DesignPoint> Optimizer::branch_and_bound(
     const auto span = support::obs::tracer().span("dse/prune", "dse");
     const model::LowerBoundModel bound_model(*program_, options_.device);
     std::vector<model::LowerBound> bounds(flat.size());
-    std::vector<std::size_t> order;
-    order.reserve(flat.size());
+    std::vector<std::size_t> heap;
+    heap.reserve(flat.size());
     for (std::size_t i = 0; i < flat.size(); ++i) {
       bounds[i] = bound_model.bound(*flat[i]);
       // Even the BRAM lower bound misses the cap: provably infeasible,
       // never worth evaluating (not even as an incumbent).
-      if (bounds[i].bram18 <= cap.bram18) order.push_back(i);
+      if (bounds[i].bram18 <= cap.bram18) heap.push_back(i);
     }
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    // Min-heap on (bound, enumeration index): it pops in exactly the
+    // ascending sorted order, but the seed usually turns up in the first
+    // batch or two, so only those pops pay the log factor — sorting the
+    // whole space would not.
+    const auto pops_later = [&](std::size_t a, std::size_t b) {
       if (bounds[a].cycles != bounds[b].cycles) {
-        return bounds[a].cycles < bounds[b].cycles;
+        return bounds[a].cycles > bounds[b].cycles;
       }
-      return a < b;  // enumeration index breaks ties deterministically
-    });
+      return a > b;  // enumeration index breaks ties deterministically
+    };
+    std::make_heap(heap.begin(), heap.end(), pops_later);
     // Incumbent seed: evaluate bound-ascending in small batches until a
     // design fits. The tighter the seed, the smaller the kept set, but
     // any feasible design is a correct incumbent.
     constexpr std::size_t kSeedBatch = 8;
     std::vector<char> seen(flat.size(), 0);
-    for (std::size_t at = 0; at < order.size() && !seed; at += kSeedBatch) {
-      const std::size_t n = std::min(kSeedBatch, order.size() - at);
+    while (!seed && !heap.empty()) {
+      std::vector<std::size_t> probe;
       std::vector<DesignConfig> batch;
-      batch.reserve(n);
-      for (std::size_t j = 0; j < n; ++j) {
-        batch.push_back(*flat[order[at + j]]);
+      while (probe.size() < kSeedBatch && !heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), pops_later);
+        probe.push_back(heap.back());
+        heap.pop_back();
+        batch.push_back(*flat[probe.back()]);
       }
       const std::vector<DesignPoint> points = engine_.evaluate_batch(batch);
-      for (std::size_t j = 0; j < n; ++j) {
-        seen[order[at + j]] = 1;
-        const DesignPoint& point = points[j];
+      // The whole batch was evaluated, so none of it counts as pruned.
+      for (const std::size_t i : probe) seen[i] = 1;
+      for (const DesignPoint& point : points) {
         if (point.analysis_errors > 0) continue;
         if (!point.resources.total.fits_within(cap)) continue;
         seed = point;
@@ -161,11 +173,9 @@ std::optional<DesignPoint> Optimizer::branch_and_bound(
     }
     if (!seed) return std::nullopt;  // exhaustively infeasible
     const double ceiling = kPruneMargin * seed->prediction.total_cycles;
-    for (const std::size_t i : order) {
-      if (bounds[i].cycles <= ceiling) keep[i] = 1;
-    }
     std::int64_t pruned = 0;
     for (std::size_t i = 0; i < flat.size(); ++i) {
+      keep[i] = bounds[i].bram18 <= cap.bram18 && bounds[i].cycles <= ceiling;
       // Seed-probed candidates were evaluated, not skipped; candidates
       // dropped later by Phase B's early exit are not counted either —
       // this counter reports lower-bound prunes only.

@@ -5,24 +5,37 @@
 // The bound must never exceed the exact model's value for the same
 // config — that is what lets the Optimizer's branch-and-bound skip a
 // candidate whose bound already exceeds the incumbent without ever
-// changing the reported optimum. Derivation (see DESIGN.md §5 for the
-// equation-by-equation mapping):
+// changing the reported optimum. Derivation for the pipe-tiling family
+// (see DESIGN.md §5 for the equation-by-equation mapping):
 //
 //   * N_region (Eq. 2) is exact: ceil(H/h) × Π_d ceil(N_d / (K_d·w_d)).
 //     tile_extents() redistributes the edge shrink but conserves the
 //     region extent, so no bounding is needed.
-//   * L_mem (Eqs. 4–6): every kernel reads at least its own tile cells
-//     for every field and writes them for every mutable field; halo and
-//     cone margins only add. With e_min_d the smallest balanced tile
-//     extent along d, L_mem ≥ Π e_min × (F + M) × bytes / bw_share,
-//     where bw_share = min(port ceiling, DDR share / K) is exact.
-//   * L_comp (Eqs. 7–10): iteration i walks at least Π e_min cells per
-//     stage at the stage's II (cone expansion only widens the extent;
-//     exposed pipe waits, Eq. 11, are ≥ 0), so
-//     L_comp ≥ h × Π e_min × (Σ_s II_s) / N_PE.
-//   * Eq. 1 takes max_k over kernels and every kernel's extents dominate
-//     e_min, so N_region × (L_mem_lb + L_comp_lb) bounds the total for
-//     both cone modes (kPaperExact only inflates extents further).
+//   * Eq. 1 takes max_k of L_mem + L_comp over kernels, so pricing any one
+//     kernel the exact model evaluates is a bound. The bound prices one
+//     corner kernel (corner_cone): per dimension the end tile on the side
+//     with the larger cone radius. Its extent is the smallest balanced
+//     extent e_d (edge tiles lose the shrink), and its cone grows by c_d
+//     per remaining fused iteration: c_d = r_lo + r_hi when both faces are
+//     region exterior (baseline designs, or K_d = 1), else
+//     c_d = max(r_lo, r_hi), the one exterior face of that corner. The
+//     kPaperExact mode prices a single kernel with extent ≥ e_d and the
+//     full r_lo + r_hi in every dimension, so the bound covers it too.
+//   * L_mem (Eqs. 4–6): the corner reads its cone base, Π_d (e_d + c_d·h)
+//     cells, for every field and writes its Π_d e_d tile cells for every
+//     mutable field; shared-face halo margins only add. The bandwidth
+//     share min(port ceiling, bank-group share / K) is exact.
+//   * L_comp (Eqs. 7–10): fused iteration i walks Π_d (e_d + c_d·(h−i))
+//     cells per stage at the stage's II, and exposed pipe waits (Eq. 11)
+//     are ≥ 0, so L_comp ≥ Σ_{j=0}^{h−1} Π_d (e_d + c_d·j) × ΣII / N_PE.
+//     cone_cells() expands the product into a polynomial of degree
+//     ≤ dims ≤ 3 in j and sums it with the power sums S_0..S_3: O(dims²),
+//     no loop over h.
+//   * Rounding: the closed form adds the same terms as the exact model's
+//     per-iteration loop in another order, and for baseline designs (every
+//     tile prices the same cone) the two are equal in exact arithmetic.
+//     The latency bound is therefore scaled by (1 − 1e-9), which covers
+//     the exact model's accumulated rounding (kRoundingSlack in the .cpp).
 //   * BRAM: each kernel buffers at least its padded tile for every field
 //     (plus the shadow copies of double-buffered stages); pipe FIFO
 //     blocks only add. bram_blocks_for() is monotone in elements, so
@@ -41,6 +54,23 @@
 
 namespace scl::model {
 
+/// The pipe-tiling kernel the latency bound prices (see the derivation
+/// above): per active dimension its tile extent e_d and the cells c_d its
+/// cone adds per remaining fused iteration.
+struct ConeGeometry {
+  std::array<double, 3> extent{1.0, 1.0, 1.0};
+  std::array<double, 3> growth{0.0, 0.0, 0.0};
+};
+
+/// The kernel the latency bound prices for a pipe-tiling `config`: per
+/// dimension the corner tile on the wider-radius end.
+ConeGeometry corner_cone(const scl::stencil::StencilProgram& program,
+                         const sim::DesignConfig& config);
+
+/// Σ_{j=0}^{h−1} Π_{d<dims} (extent_d + growth_d·j): the cells the kernel
+/// walks over h fused iterations, in closed form (power sums, O(dims²)).
+double cone_cells(const ConeGeometry& cone, int dims, std::int64_t h);
+
 struct LowerBound {
   /// Admissible latency bound in cycles: bound(c).cycles <= exact
   /// PerfModel::predict(c).total_cycles for every valid config c.
@@ -56,7 +86,7 @@ class LowerBoundModel {
   LowerBoundModel(const scl::stencil::StencilProgram& program,
                   fpga::DeviceSpec device);
 
-  /// Bounds for one (valid) candidate config. Costs O(dims) — no vector
+  /// Bounds for one (valid) candidate config. Costs O(dims²) — no vector
   /// allocation, no per-iteration loop — which is what makes bounding
   /// the whole candidate space cheaper than evaluating a fraction of it.
   LowerBound bound(const sim::DesignConfig& config) const;

@@ -5,8 +5,13 @@
 //     half of the determinism contract; thread-count invariance lives in
 //     dse_determinism_test.cpp),
 //   * LowerBoundModel must be admissible — never above the exact model —
-//     across whole candidate spaces, including the heterogeneous
-//     edge-shrink configs,
+//     across whole candidate spaces of every suite kernel, both cone
+//     modes, a DDR and an HBM part and the small-grid shapes, including
+//     the heterogeneous edge-shrink configs; and tight (equal up to
+//     rounding) on every baseline config,
+//   * the closed-form cone sum must equal the per-iteration sum, and the
+//     paper-scale baseline searches must evaluate exactly the pinned
+//     candidate counts,
 //   * ParetoFront must keep exactly the non-dominated points regardless
 //     of insertion order (checked against an O(n^2) batch reference on
 //     randomized inputs).
@@ -22,7 +27,9 @@
 #include <gtest/gtest.h>
 
 #include "fpga/device.hpp"
+#include "model/perf_model.hpp"
 #include "stencil/kernels.hpp"
+#include "stencil/parser.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -94,6 +101,27 @@ TEST(DsePruneTest, PrunedOptimumMatchesExhaustiveOnEverySuiteKernel) {
         << info.name << ": pruning never engaged";
     EXPECT_EQ(exhaustive.dse_stats().candidates_pruned, 0)
         << info.name << ": exhaustive search must not prune";
+  }
+}
+
+TEST(DsePruneTest, SeedBatchCandidatesAreNeverCountedAsPruned) {
+  // Phase A evaluates whole seed batches; a batch member past the first
+  // feasible one is evaluated, so it must not also count as pruned. On
+  // one thread every distinct evaluation is exactly one cache miss.
+  for (const BenchmarkInfo& info : scl::stencil::paper_benchmarks()) {
+    const StencilProgram program = scaled(info);
+    OptimizerOptions options;
+    options.threads = 1;
+    const Optimizer optimizer(program, options);
+    (void)optimizer.optimize_baseline();
+    std::int64_t total = 0;
+    for (const CandidateChain& chain :
+         optimizer.space().chains(sim::DesignKind::kBaseline)) {
+      total += static_cast<std::int64_t>(chain.configs.size());
+    }
+    const DseStats stats = optimizer.dse_stats();
+    EXPECT_LE(stats.candidates_pruned + stats.cache_misses, total)
+        << info.name;
   }
 }
 
@@ -267,6 +295,212 @@ TEST(DsePruneTest, RetainedFrontierIsDeterministicAcrossThreadCounts) {
     EXPECT_TRUE(design_order(serial[i - 1], serial[i]));
     EXPECT_LT(serial[i].resources.total.bram18,
               serial[i - 1].resources.total.bram18);
+  }
+}
+
+/// A Jacobi-like smoother whose iteration radii differ per side in every
+/// dimension (offsets -2/+1, 0/+1 and -3/0), so the corner choice of the
+/// cone bound matters.
+StencilProgram skewed_program(int dims) {
+  const char* reads[] = {"", "$u(-2) + $u(1)",
+                         "$u(-2,0) + $u(1,0) + $u(0,1)",
+                         "$u(-2,0,0) + $u(1,0,0) + $u(0,1,0) + $u(0,0,-3)"};
+  const char* centre[] = {"", "$u(0)", "$u(0,0)", "$u(0,0,0)"};
+  const char* grid[] = {"", "4096", "256 256", "64 64 64"};
+  return scl::stencil::parse_program(
+      std::string("stencil \"Skew\" dims ") + std::to_string(dims) +
+      " grid " + grid[dims] + " iterations 1024\n" +
+      "field u init affine 2 3 5 7 53\n" + "stage s writes u:\n    0.5f * " +
+      centre[dims] + " + 0.1f * (" + reads[dims] + ")\n");
+}
+
+TEST(DsePruneTest, ConeCellsMatchThePerIterationSum) {
+  for (int dims = 1; dims <= 3; ++dims) {
+    const StencilProgram program = skewed_program(dims);
+    const auto& radii = program.iter_radii();
+    ASSERT_NE(radii[0][0], radii[0][1]) << "radii must be asymmetric";
+    // K_d in {1, 2, 4} per dimension (4 with a balancing shrink), both
+    // kinds: the corner's extent and cone growth follow the rule in
+    // model/lower_bound.hpp.
+    for (const int k : {1, 2, 4}) {
+      for (const sim::DesignKind kind :
+           {sim::DesignKind::kBaseline, sim::DesignKind::kHeterogeneous}) {
+        sim::DesignConfig config;
+        config.kind = kind;
+        for (int d = 0; d < dims; ++d) {
+          const auto ds = static_cast<std::size_t>(d);
+          config.parallelism[ds] = k;
+          config.tile_size[ds] = 16 + 8 * d;
+          if (kind == sim::DesignKind::kHeterogeneous && k >= 3) {
+            config.edge_shrink[ds] = 2 + d;
+          }
+        }
+        const model::ConeGeometry cone = model::corner_cone(program, config);
+        for (int d = 0; d < dims; ++d) {
+          const auto ds = static_cast<std::size_t>(d);
+          const std::vector<std::int64_t> extents = config.tile_extents(d);
+          EXPECT_EQ(cone.extent[ds],
+                    static_cast<double>(std::min(extents.front(),
+                                                 extents.back())));
+          const auto lo = static_cast<double>(radii[ds][0]);
+          const auto hi = static_cast<double>(radii[ds][1]);
+          EXPECT_EQ(cone.growth[ds],
+                    kind == sim::DesignKind::kBaseline || k == 1
+                        ? lo + hi
+                        : std::max(lo, hi))
+              << "dims " << dims << " K " << k << " d " << d;
+        }
+        // Reference: the O(h) loop, Σ_{j<h} Π_d (e_d + c_d·j), extended
+        // one term per depth. Every term is an integer below 2^53, so
+        // both sides are exact and must agree bit for bit.
+        double reference = 0.0;
+        for (std::int64_t h = 1; h <= 1024; ++h) {
+          double cells = 1.0;
+          for (int d = 0; d < dims; ++d) {
+            const auto ds = static_cast<std::size_t>(d);
+            cells *= cone.extent[ds] +
+                     cone.growth[ds] * static_cast<double>(h - 1);
+          }
+          reference += cells;
+          ASSERT_EQ(model::cone_cells(cone, dims, h), reference)
+              << "dims " << dims << " K " << k << " h " << h;
+        }
+      }
+    }
+  }
+}
+
+/// Bound vs exact model over whole candidate spaces of one suite kernel:
+/// the DDR and the HBM part, both cone modes, the small-grid clamp shapes
+/// the cold small-grid workload requests (where the cone bound prunes
+/// hardest), every baseline config and the heterogeneous candidates of
+/// every parallelism arrangement.
+class LowerBoundSweepTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LowerBoundSweepTest, BoundIsAdmissibleAndTightOnBaselines) {
+  const BenchmarkInfo& info = scl::stencil::find_benchmark(GetParam());
+  std::vector<std::array<std::int64_t, 3>> shapes;
+  switch (info.dims) {
+    case 1:
+      shapes = {{4096, 1, 1}, {32768, 1, 1}};
+      break;
+    case 2:
+      shapes = {{64, 64, 1}, {512, 512, 1}};
+      break;
+    default:
+      shapes = {{16, 16, 16}, {64, 64, 64}};
+      break;
+  }
+  std::int64_t baselines = 0;
+  std::int64_t heterogeneous = 0;
+  for (const auto& shape : shapes) {
+    const StencilProgram program = info.make_scaled(shape, 16);
+    for (const char* device_name : {"xc7vx690t", "xcu280"}) {
+      OptimizerOptions options;
+      options.device = fpga::find_device(device_name);
+      const CandidateSpace space(program, options);
+      const model::LowerBoundModel bound_model(program, options.device);
+      const fpga::ResourceModel resource_model(options.device);
+      std::vector<sim::DesignConfig> configs;
+      std::vector<std::array<int, 3>> arrangements;
+      for (const CandidateChain& chain :
+           space.chains(sim::DesignKind::kBaseline)) {
+        configs.insert(configs.end(), chain.configs.begin(),
+                       chain.configs.end());
+        const sim::DesignConfig& head = chain.configs.front();
+        if (head.replication == 1 &&
+            std::find(arrangements.begin(), arrangements.end(),
+                      head.parallelism) == arrangements.end()) {
+          arrangements.push_back(head.parallelism);
+          const std::vector<sim::DesignConfig> het =
+              space.heterogeneous_candidates(head);
+          configs.insert(configs.end(), het.begin(), het.end());
+        }
+      }
+      for (const model::ConeMode mode :
+           {model::ConeMode::kRefined, model::ConeMode::kPaperExact}) {
+        const model::PerfModel perf_model(program, options.device, mode);
+        for (const sim::DesignConfig& config : configs) {
+          const model::LowerBound lb = bound_model.bound(config);
+          const double exact = perf_model.predict_cycles(config);
+          const std::int64_t bram =
+              estimate_design_resources(program, config, resource_model)
+                  .total.bram18;
+          ASSERT_LE(lb.cycles, exact)
+              << info.name << " " << device_name << " "
+              << config.summary(program.dims());
+          ASSERT_LE(lb.bram18, bram)
+              << info.name << " " << device_name << " "
+              << config.summary(program.dims());
+          if (config.kind == sim::DesignKind::kBaseline) {
+            // Every baseline tile prices the same cone the bound does,
+            // so only the rounding slack separates them.
+            ASSERT_GE(lb.cycles, exact * (1.0 - 2e-9))
+                << info.name << " " << device_name << " "
+                << config.summary(program.dims());
+            ++baselines;
+          } else {
+            ++heterogeneous;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(baselines, 1000) << info.name;
+  EXPECT_GT(heterogeneous, 100) << info.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKernels, LowerBoundSweepTest,
+                         ::testing::Values("Jacobi-1D", "Jacobi-2D",
+                                           "HotSpot-2D", "FDTD-2D",
+                                           "Jacobi-3D", "HotSpot-3D",
+                                           "FDTD-3D"),
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+TEST(DsePruneTest, PaperScaleBaselineCandidateCountsArePinned) {
+  // Deterministic work counters of the paper-scale baseline searches.
+  // The cone-aware bound cut each 3-D search at least 3x below the
+  // counts of the cone-free bound (`before`); the exact pins make any
+  // later loosening of the bound fail loudly. On the HBM part the whole
+  // flow (baseline, heterogeneous, temporal) must also stay inside the
+  // EvalCache slot table.
+  struct Pin {
+    const char* kernel;
+    const char* device;
+    std::int64_t before;
+    std::int64_t evaluated;
+  };
+  const Pin pins[] = {
+      {"Jacobi-3D", "xc7vx690t", 11721, 28},
+      {"HotSpot-3D", "xc7vx690t", 8514, 242},
+      {"FDTD-3D", "xc7vx690t", 5933, 60},
+      {"Jacobi-3D", "xcu280", 41242, 4843},
+      {"HotSpot-3D", "xcu280", 34149, 7338},
+      {"FDTD-3D", "xcu280", 21541, 6267},
+  };
+  for (const Pin& pin : pins) {
+    const StencilProgram program =
+        scl::stencil::find_benchmark(pin.kernel).make_paper_scale();
+    OptimizerOptions options;
+    options.threads = 1;
+    options.device = fpga::find_device(pin.device);
+    const Optimizer optimizer(program, options);
+    const DesignPoint baseline = optimizer.optimize_baseline();
+    const std::int64_t evaluated = optimizer.dse_stats().candidates_evaluated;
+    EXPECT_EQ(evaluated, pin.evaluated) << pin.kernel << " " << pin.device;
+    EXPECT_LE(3 * evaluated, pin.before) << pin.kernel << " " << pin.device;
+    try {
+      (void)optimizer.optimize_heterogeneous(baseline);
+    } catch (const ResourceError&) {
+      // A replication-spent baseline cap may leave no redistribution.
+    }
+    (void)optimizer.optimize_temporal();
+    EXPECT_EQ(optimizer.dse_stats().cache_spills, 0)
+        << pin.kernel << " " << pin.device;
   }
 }
 

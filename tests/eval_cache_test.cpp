@@ -163,6 +163,7 @@ TEST(EvalCacheTest, TinyCapacitySpillsToOverflowCorrectly) {
                              fake_eval(static_cast<double>(i))));
   }
   EXPECT_EQ(cache.size(), n);
+  EXPECT_EQ(cache.spilled(), n - 4);  // all but the four slotted entries
   for (int i = 0; i < n; ++i) {
     CachedEvaluation out;
     ASSERT_TRUE(cache.lookup(sample_config(1 + i).key(), &out)) << i;
@@ -184,6 +185,7 @@ TEST(EvalCacheTest, ClearBumpsEpochAndSlotsAreReclaimable) {
     EXPECT_EQ(out.prediction.total_cycles, round * 100.0 + 4);
     cache.clear();
     EXPECT_EQ(cache.size(), 0);
+    EXPECT_EQ(cache.spilled(), 0);
     EXPECT_FALSE(cache.lookup(sample_config(5).key(), &out));
     EXPECT_EQ(cache.misses(), 1);  // counters restarted by clear()
     cache.clear();
