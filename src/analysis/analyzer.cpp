@@ -1,11 +1,15 @@
 #include "analysis/analyzer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <map>
+#include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "analysis/interval.hpp"
+#include "analysis/ir/lower.hpp"
 #include "arch/temporal_layout.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -20,64 +24,130 @@ using scl::stencil::StencilProgram;
 
 namespace {
 
-/// The fused-iteration distance `pass_h - it`; the generator emits it
-/// verbatim, so a single substitution turns every bound affine in one
-/// variable with range [0, h-1].
-constexpr const char* kDt = "dt";
-
-std::string substitute_dt(std::string expr) {
-  return replace_all(std::move(expr), "pass_h - it", kDt);
-}
-
-/// Region-origin values worth sampling along dimension d: the first
-/// region, one interior region, and the last region of the host sweep
-/// (`for (r = 0; r < grid; r += region_extent)`). Bounds are affine and
-/// monotone in the origin, so the extremes plus one unclipped interior
-/// point cover the clamp cases.
-std::vector<std::int64_t> origin_samples(const GenContext& ctx, int d) {
-  const std::int64_t grid = ctx.program->grid_box().extent(d);
-  const std::int64_t region = std::max<std::int64_t>(ctx.config.region_extent(d), 1);
-  std::vector<std::int64_t> out{0};
-  if (region < grid) {
-    out.push_back(region);
-    out.push_back(((grid - 1) / region) * region);
+/// The points pass 2 evaluates bounds at, computed once per analysis:
+/// region origins per dimension (see analysis::origin_samples) and
+/// fused-iteration distances `pass_h - it` in [0, h - 1] — the two ends,
+/// or all of them for the exhaustive oracle.
+struct Samples {
+  explicit Samples(const AnalysisInput& input) {
+    const GenContext& ctx = input.ctx;
+    for (int d = 0; d < ctx.program->dims(); ++d) {
+      origins[static_cast<std::size_t>(d)] = origin_samples(
+          ctx.program->grid_box().extent(d), ctx.config.region_extent(d),
+          clamp_reach(*ctx.program, ctx.config, d), input.sampling);
+    }
+    const std::int64_t h = ctx.config.fused_iterations;
+    if (h <= 1) {
+      dts = {0};
+    } else if (input.sampling == Sampling::kVertices) {
+      dts = {0, h - 1};
+    } else {
+      for (std::int64_t dt = 0; dt < h; ++dt) dts.push_back(dt);
+    }
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
 
-std::vector<std::int64_t> dt_samples(const GenContext& ctx) {
-  const std::int64_t h = ctx.config.fused_iterations;
-  if (h <= 1) return {0};
-  return {0, h - 1};
-}
+  std::array<std::vector<std::int64_t>, 3> origins;
+  std::vector<std::int64_t> dts;
+};
 
-IntervalEnv make_env(std::int64_t r0, std::int64_t r1, std::int64_t r2,
-                     std::int64_t dt) {
-  IntervalEnv env;
-  env["r0"] = Interval::point(r0);
-  env["r1"] = Interval::point(r1);
-  env["r2"] = Interval::point(r2);
-  env[kDt] = Interval::point(dt);
-  return env;
-}
+/// One bound string compiled once; a string that does not parse keeps
+/// its error for the SCL209 report.
+struct CompiledBound {
+  std::string text;
+  std::optional<ir::Expr> expr;
+  std::string error;
+};
 
-/// Point-evaluates `expr` (after the dt substitution) under `env`.
-std::int64_t eval_point(const std::string& expr, const IntervalEnv& env) {
-  const Interval v = eval_bound_expr(substitute_dt(expr), env);
-  return v.lo;  // all env entries are points, so lo == hi
-}
+/// A codegen::LoopBounds compiled to expressions (owned by a
+/// BoundCompiler).
+struct CompiledBounds {
+  std::array<const CompiledBound*, 3> lo{};
+  std::array<const CompiledBound*, 3> hi{};
+};
 
-/// Emits the one-per-expression "analysis incomplete" diagnostic.
+/// Compiles bound strings with the kernel-IR parser, each distinct string
+/// once: replicated and mirrored tiles repeat the same bounds many times.
+class BoundCompiler {
+ public:
+  const CompiledBound& compile(const std::string& text) {
+    const auto [it, inserted] = cache_.try_emplace(text);
+    CompiledBound& out = it->second;
+    if (inserted) {
+      out.text = text;
+      try {
+        out.expr = ir::parse_bound_expr(text);
+      } catch (const Error& e) {
+        out.error = e.what();
+      }
+    }
+    return out;
+  }
+
+  CompiledBounds compile(const LoopBounds& bounds) {
+    CompiledBounds out;
+    for (std::size_t d = 0; d < 3; ++d) {
+      out.lo[d] = &compile(bounds.lo[d]);
+      out.hi[d] = &compile(bounds.hi[d]);
+    }
+    return out;
+  }
+
+ private:
+  std::unordered_map<std::string, CompiledBound> cache_;
+};
+
+/// The bound that could not be evaluated, and why.
+struct Failure {
+  std::string expr;
+  std::string why;
+};
+
+/// Point environment of pass 2: origin `origin` along dimension d (every
+/// other origin 0) and fused-iteration distance dt. boundary_gen writes
+/// the distance as `pass_h - it`, so pass_h = dt, it = 0 evaluates it
+/// without rewriting the text.
+class PointEnv {
+ public:
+  PointEnv() : env_(ir::SlotTable::fixed()) {}
+
+  void set(int d, std::int64_t origin, std::int64_t dt) {
+    env_[ir::kSlotR0] = Interval::point(d == 0 ? origin : 0);
+    env_[ir::kSlotR1] = Interval::point(d == 1 ? origin : 0);
+    env_[ir::kSlotR2] = Interval::point(d == 2 ? origin : 0);
+    env_[ir::kSlotPassH] = Interval::point(dt);
+    env_[ir::kSlotIt] = Interval::point(0);
+  }
+
+  /// Value of `bound` at the current point, or nullopt with `failure`
+  /// naming the bound that did not parse or evaluate.
+  std::optional<std::int64_t> eval(const CompiledBound& bound,
+                                   Failure* failure) const {
+    if (!bound.expr) {
+      *failure = {bound.text, bound.error};
+      return std::nullopt;
+    }
+    try {
+      return ir::eval_expr(*bound.expr, env_).lo;  // points: lo == hi
+    } catch (const Error& e) {
+      *failure = {bound.text, str_cat("cannot evaluate bound expression '",
+                                      bound.text, "': ", e.what())};
+      return std::nullopt;
+    }
+  }
+
+ private:
+  ir::Env env_;
+};
+
+/// Emits the "analysis incomplete" diagnostic for the bound that failed.
 void report_unparsable(support::DiagnosticEngine* diags, int kernel,
-                       const std::string& expr, const std::string& why) {
+                       const Failure& failure) {
   support::Diagnostic& diag = diags->warning(
-      "SCL209", str_cat("loop bound '", expr,
+      "SCL209", str_cat("loop bound '", failure.expr,
                         "' is outside the affine bound language; interval "
                         "analysis skipped it"));
   diag.location = {"kernel", str_cat("stencil_k", kernel), -1};
-  diag.notes.push_back(why);
+  diag.notes.push_back(failure.why);
 }
 
 int opposite(int side) { return side == 0 ? 1 : 0; }
@@ -116,60 +186,104 @@ bool face_needs_halo(const StencilProgram& prog, int d, int side) {
   return false;
 }
 
-/// Largest tangential extent (product over dimensions != d) any stage-s
-/// boundary strip of kernel k can reach, from the generated stage compute
-/// bounds evaluated at the sampled region origins and iteration
-/// distances. Returns -1 when a bound fails to parse (already reported).
-std::int64_t max_tangential_extent(const AnalysisInput& input, int k,
-                                   int stage, int d,
-                                   support::DiagnosticEngine* diags) {
-  const GenContext& ctx = input.ctx;
-  const LoopBounds bounds = codegen::stage_compute_bounds(ctx, k, stage);
-  std::int64_t product = 1;
-  for (int dt_dim = 0; dt_dim < ctx.program->dims(); ++dt_dim) {
-    if (dt_dim == d) continue;
-    const auto ds = static_cast<std::size_t>(dt_dim);
-    std::int64_t best = 0;
-    for (const std::int64_t origin : origin_samples(ctx, dt_dim)) {
-      for (const std::int64_t dt : dt_samples(ctx)) {
-        IntervalEnv env = make_env(0, 0, 0, dt);
-        env[str_cat("r", dt_dim)] = Interval::point(origin);
-        try {
-          const std::int64_t lo = eval_point(bounds.lo[ds], env);
-          const std::int64_t hi = eval_point(bounds.hi[ds], env);
-          best = std::max(best, hi - lo);
-        } catch (const Error& e) {
-          report_unparsable(diags, k, bounds.lo[ds], e.what());
-          return -1;
+/// The sample points, the compiled stage compute bounds and the
+/// tangential extents derived from them, built on first use and shared by
+/// the passes of one analyze() call (pass 1 and pass 3 both price every
+/// pipe face).
+class DesignBounds {
+ public:
+  explicit DesignBounds(const AnalysisInput& input)
+      : input_(input),
+        samples_(input),
+        stages_(input.ctx.program->stage_count()),
+        bounds_(static_cast<std::size_t>(input.ctx.kernel_count() * stages_)),
+        tangential_(bounds_.size() * 3) {}
+
+  const Samples& samples() const { return samples_; }
+
+  CompiledBounds compile(const LoopBounds& bounds) {
+    return compiler_.compile(bounds);
+  }
+
+  const CompiledBounds& bounds(int k, int stage) {
+    std::optional<CompiledBounds>& slot =
+        bounds_[static_cast<std::size_t>(k * stages_ + stage)];
+    if (!slot) {
+      slot = compile(codegen::stage_compute_bounds(input_.ctx, k, stage));
+    }
+    return *slot;
+  }
+
+  /// Largest tangential extent (product over dimensions != d) any
+  /// stage-s boundary strip of kernel k can reach, from the generated
+  /// stage compute bounds at the sampled region origins and iteration
+  /// distances. -1 when a bound fails (reported once).
+  std::int64_t tangential(int k, int stage, int d,
+                          support::DiagnosticEngine* diags) {
+    std::optional<std::int64_t>& slot = tangential_[static_cast<std::size_t>(
+        (k * stages_ + stage) * 3 + d)];
+    if (!slot) slot = compute_tangential(k, stage, d, diags);
+    return *slot;
+  }
+
+  /// Elements one (iteration, stage) exchange phase pushes into the
+  /// channel from kernel `k` across its (d, side) face before the kernel
+  /// reads anything back — the boundary-layer volume the FIFO must
+  /// absorb. -1 when bounds were unparsable.
+  std::int64_t max_phase_volume(int k, int d, int side,
+                                support::DiagnosticEngine* diags) {
+    const StencilProgram& prog = *input_.ctx.program;
+    const auto ds = static_cast<std::size_t>(d);
+    std::int64_t worst = 0;
+    for (int s = 0; s < prog.stage_count(); ++s) {
+      const int f = prog.stage(s).output_field;
+      const std::int64_t width = prog.field_read_radii(
+          f)[ds][static_cast<std::size_t>(opposite(side))];
+      if (width == 0) continue;
+      const std::int64_t extent = tangential(k, s, d, diags);
+      if (extent < 0) return -1;
+      worst = std::max(worst, width * extent);
+    }
+    return worst;
+  }
+
+ private:
+  std::int64_t compute_tangential(int k, int stage, int d,
+                                  support::DiagnosticEngine* diags) {
+    const CompiledBounds& compiled = bounds(k, stage);
+    PointEnv env;
+    std::int64_t product = 1;
+    for (int other = 0; other < input_.ctx.program->dims(); ++other) {
+      if (other == d) continue;
+      const auto os = static_cast<std::size_t>(other);
+      std::int64_t best = 0;
+      for (const std::int64_t origin : samples_.origins[os]) {
+        for (const std::int64_t dt : samples_.dts) {
+          env.set(other, origin, dt);
+          Failure failure;
+          const std::optional<std::int64_t> lo =
+              env.eval(*compiled.lo[os], &failure);
+          const std::optional<std::int64_t> hi =
+              lo ? env.eval(*compiled.hi[os], &failure) : std::nullopt;
+          if (!hi) {
+            report_unparsable(diags, k, failure);
+            return -1;
+          }
+          best = std::max(best, *hi - *lo);
         }
       }
+      product *= best;
     }
-    product *= best;
+    return product;
   }
-  return product;
-}
 
-/// Elements one (iteration, stage) exchange phase pushes into the channel
-/// from kernel `k` across its (d, side) face before the kernel reads
-/// anything back — the boundary-layer volume the FIFO must absorb.
-/// Returns -1 when bounds were unparsable.
-std::int64_t max_phase_volume(const AnalysisInput& input, int k, int d,
-                              int side, support::DiagnosticEngine* diags) {
-  const StencilProgram& prog = *input.ctx.program;
-  const auto ds = static_cast<std::size_t>(d);
-  std::int64_t worst = 0;
-  for (int s = 0; s < prog.stage_count(); ++s) {
-    const int f = prog.stage(s).output_field;
-    const std::int64_t width =
-        prog.field_read_radii(f)[ds][static_cast<std::size_t>(opposite(side))];
-    if (width == 0) continue;
-    const std::int64_t tangential =
-        max_tangential_extent(input, k, s, d, diags);
-    if (tangential < 0) return -1;
-    worst = std::max(worst, width * tangential);
-  }
-  return worst;
-}
+  const AnalysisInput& input_;
+  Samples samples_;
+  BoundCompiler compiler_;
+  int stages_;
+  std::vector<std::optional<CompiledBounds>> bounds_;      ///< k x stage
+  std::vector<std::optional<std::int64_t>> tangential_;  ///< k x stage x d
+};
 
 std::string kernel_name(int k) { return str_cat("stencil_k", k); }
 
@@ -190,8 +304,10 @@ AnalysisInput make_analysis_input(const StencilProgram& program,
 
 // ---- pass 1: pipe-graph analysis (SCL1xx) ----------------------------------
 
-void analyze_pipe_graph(const AnalysisInput& input,
-                        support::DiagnosticEngine* diags) {
+namespace {
+
+void pipe_graph_pass(const AnalysisInput& input, DesignBounds& extents,
+                     support::DiagnosticEngine* diags) {
   const GenContext& ctx = input.ctx;
   const StencilProgram& prog = *ctx.program;
   const int kernels = ctx.kernel_count();
@@ -299,7 +415,7 @@ void analyze_pipe_graph(const AnalysisInput& input,
         const auto channel = channels.find(std::pair{k, nb});
         if (channel == channels.end()) continue;
         const std::int64_t required =
-            max_phase_volume(input, k, d, side, diags);
+            extents.max_phase_volume(k, d, side, diags);
         if (required <= 0) continue;  // nothing sent, or bounds unparsable
         if (channel->second->depth < required) {
           support::Diagnostic& diag = diags->error(
@@ -364,172 +480,242 @@ void analyze_pipe_graph(const AnalysisInput& input,
   }
 }
 
+}  // namespace
+
+void analyze_pipe_graph(const AnalysisInput& input,
+                        support::DiagnosticEngine* diags) {
+  DesignBounds extents(input);
+  pipe_graph_pass(input, extents, diags);
+}
+
 // ---- pass 2: halo & bounds interval analysis (SCL2xx) ----------------------
 
-void check_buffer_bounds(const AnalysisInput& input, int kernel,
-                         const LoopBounds& bounds,
+namespace {
+
+void check_buffer_bounds(const AnalysisInput& input, const Samples& samples,
+                         int kernel, const CompiledBounds& bounds,
                          support::DiagnosticEngine* diags) {
-  const GenContext& ctx = input.ctx;
-  const StencilProgram& prog = *ctx.program;
+  const StencilProgram& prog = *input.ctx.program;
+  PointEnv env;
   for (int d = 0; d < prog.dims(); ++d) {
     const auto ds = static_cast<std::size_t>(d);
     const std::int64_t grid_hi = prog.grid_box().hi[ds];
-    bool flagged = false;
-    for (const std::int64_t origin : origin_samples(ctx, d)) {
-      if (flagged) break;
-      IntervalEnv env = make_env(0, 0, 0, 0);
-      env[str_cat("r", d)] = Interval::point(origin);
-      try {
-        const std::int64_t lo = eval_point(bounds.lo[ds], env);
-        const std::int64_t hi = eval_point(bounds.hi[ds], env);
-        if (hi <= lo) continue;  // empty burst: no access happens
-        if (lo < 0 || hi > grid_hi) {
-          support::Diagnostic& diag = diags->error(
-              "SCL201",
-              str_cat("burst bounds [", lo, ", ", hi, ") along dim ", d,
-                      " escape the grid [0, ", grid_hi, ") at region origin ",
-                      origin));
-          diag.location = {"kernel", kernel_name(kernel), -1};
-          diag.notes.push_back(str_cat("lower bound expression: ",
-                                       bounds.lo[ds]));
-          diag.notes.push_back(str_cat("upper bound expression: ",
-                                       bounds.hi[ds]));
-          flagged = true;
-        }
-      } catch (const Error& e) {
-        report_unparsable(diags, kernel, bounds.lo[ds], e.what());
-        flagged = true;
+    for (const std::int64_t origin : samples.origins[ds]) {
+      env.set(d, origin, 0);
+      Failure failure;
+      const std::optional<std::int64_t> lo = env.eval(*bounds.lo[ds], &failure);
+      const std::optional<std::int64_t> hi =
+          lo ? env.eval(*bounds.hi[ds], &failure) : std::nullopt;
+      if (!hi) {
+        report_unparsable(diags, kernel, failure);
+        break;
+      }
+      if (*hi <= *lo) continue;  // empty burst: no access happens
+      if (*lo < 0 || *hi > grid_hi) {
+        support::Diagnostic& diag = diags->error(
+            "SCL201",
+            str_cat("burst bounds [", *lo, ", ", *hi, ") along dim ", d,
+                    " escape the grid [0, ", grid_hi, ") at region origin ",
+                    origin));
+        diag.location = {"kernel", kernel_name(kernel), -1};
+        diag.notes.push_back(str_cat("lower bound expression: ",
+                                     bounds.lo[ds]->text));
+        diag.notes.push_back(str_cat("upper bound expression: ",
+                                     bounds.hi[ds]->text));
+        break;
       }
     }
   }
 }
 
-/// Checks the burst write of field `f` stays inside the field's updatable
-/// region (Dirichlet border cells must keep their initial values).
-void check_owned_bounds(const AnalysisInput& input, int kernel, int f,
-                        const LoopBounds& bounds,
+void check_owned_bounds(const AnalysisInput& input, const Samples& samples,
+                        int kernel, int f, const CompiledBounds& bounds,
                         support::DiagnosticEngine* diags) {
-  const GenContext& ctx = input.ctx;
-  const StencilProgram& prog = *ctx.program;
+  const StencilProgram& prog = *input.ctx.program;
   const scl::stencil::Box updated = prog.updated_box(f);
+  PointEnv env;
   for (int d = 0; d < prog.dims(); ++d) {
     const auto ds = static_cast<std::size_t>(d);
-    bool flagged = false;
-    for (const std::int64_t origin : origin_samples(ctx, d)) {
-      if (flagged) break;
-      IntervalEnv env = make_env(0, 0, 0, 0);
-      env[str_cat("r", d)] = Interval::point(origin);
-      try {
-        const std::int64_t lo = eval_point(bounds.lo[ds], env);
-        const std::int64_t hi = eval_point(bounds.hi[ds], env);
-        if (hi <= lo) continue;
-        if (lo < updated.lo[ds] || hi > updated.hi[ds]) {
-          support::Diagnostic& diag = diags->error(
-              "SCL203",
-              str_cat("burst write of field '", prog.field(f).name,
-                      "' covers [", lo, ", ", hi, ") along dim ", d,
-                      ", outside the updatable region [", updated.lo[ds],
-                      ", ", updated.hi[ds], ") at region origin ", origin));
-          diag.location = {"kernel", kernel_name(kernel), -1};
-          diag.notes.push_back(
-              "cells outside the updatable region are Dirichlet boundary "
-              "and must keep their initial values");
-          flagged = true;
-        }
-      } catch (const Error& e) {
-        report_unparsable(diags, kernel, bounds.hi[ds], e.what());
-        flagged = true;
+    for (const std::int64_t origin : samples.origins[ds]) {
+      env.set(d, origin, 0);
+      Failure failure;
+      const std::optional<std::int64_t> lo = env.eval(*bounds.lo[ds], &failure);
+      const std::optional<std::int64_t> hi =
+          lo ? env.eval(*bounds.hi[ds], &failure) : std::nullopt;
+      if (!hi) {
+        report_unparsable(diags, kernel, failure);
+        break;
+      }
+      if (*hi <= *lo) continue;
+      if (*lo < updated.lo[ds] || *hi > updated.hi[ds]) {
+        support::Diagnostic& diag = diags->error(
+            "SCL203",
+            str_cat("burst write of field '", prog.field(f).name,
+                    "' covers [", *lo, ", ", *hi, ") along dim ", d,
+                    ", outside the updatable region [", updated.lo[ds],
+                    ", ", updated.hi[ds], ") at region origin ", origin));
+        diag.location = {"kernel", kernel_name(kernel), -1};
+        diag.notes.push_back(
+            "cells outside the updatable region are Dirichlet boundary "
+            "and must keep their initial values");
+        break;
       }
     }
   }
 }
 
-/// Checks every neighbor access of every stage stays inside the kernel's
-/// local-buffer box — dynamically (the burst-read window) and statically
-/// (the compile-time array extent the emitter sizes).
-void check_stage_accesses(const AnalysisInput& input, int kernel, int stage,
-                          const LoopBounds& bounds,
+/// The compute and buffer bounds of one dimension at one sampled point.
+/// They do not depend on the access, so check_stage_accesses evaluates
+/// them once and tests every access's offset against them.
+struct StagePoint {
+  std::int64_t origin = 0;
+  std::int64_t dt = 0;
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  std::int64_t buf_lo = 0;
+  std::int64_t buf_hi = 0;
+  std::optional<Failure> failure;
+};
+
+void check_stage_accesses(const AnalysisInput& input, const Samples& samples,
+                          int kernel, int stage, const CompiledBounds& bounds,
+                          const CompiledBounds& buffer,
                           support::DiagnosticEngine* diags) {
   const GenContext& ctx = input.ctx;
   const StencilProgram& prog = *ctx.program;
-  const LoopBounds buffer = codegen::buffer_bounds(ctx, kernel);
-  for (const scl::stencil::ReadAccess& access : prog.stage(stage).reads) {
+  const auto& reads = prog.stage(stage).reads;
+  if (reads.empty()) return;
+  PointEnv env;
+  std::array<std::vector<StagePoint>, 3> points;
+  for (int d = 0; d < prog.dims(); ++d) {
+    const auto ds = static_cast<std::size_t>(d);
+    for (const std::int64_t origin : samples.origins[ds]) {
+      for (const std::int64_t dt : samples.dts) {
+        env.set(d, origin, dt);
+        StagePoint point;
+        point.origin = origin;
+        point.dt = dt;
+        Failure failure;
+        std::optional<std::int64_t> v[4];
+        const CompiledBound* order[4] = {bounds.lo[ds], bounds.hi[ds],
+                                         buffer.lo[ds], buffer.hi[ds]};
+        for (int i = 0; i < 4 && (i == 0 || v[i - 1]); ++i) {
+          v[i] = env.eval(*order[i], &failure);
+        }
+        if (v[3]) {
+          point.lo = *v[0];
+          point.hi = *v[1];
+          point.buf_lo = *v[2];
+          point.buf_hi = *v[3];
+        } else {
+          point.failure = std::move(failure);
+        }
+        points[ds].push_back(std::move(point));
+      }
+    }
+  }
+  for (const scl::stencil::ReadAccess& access : reads) {
     for (int d = 0; d < prog.dims(); ++d) {
       const auto ds = static_cast<std::size_t>(d);
       const int off = access.offset[ds];
       const std::int64_t ext = static_buffer_extent(ctx, kernel, d);
-      bool flagged = false;
-      for (const std::int64_t origin : origin_samples(ctx, d)) {
-        if (flagged) break;
-        for (const std::int64_t dt : dt_samples(ctx)) {
-          IntervalEnv env = make_env(0, 0, 0, dt);
-          env[str_cat("r", d)] = Interval::point(origin);
-          std::int64_t lo = 0, hi = 0, buf_lo = 0, buf_hi = 0;
-          try {
-            lo = eval_point(bounds.lo[ds], env);
-            hi = eval_point(bounds.hi[ds], env);
-            buf_lo = eval_point(buffer.lo[ds], env);
-            buf_hi = eval_point(buffer.hi[ds], env);
-          } catch (const Error& e) {
-            report_unparsable(diags, kernel, bounds.lo[ds], e.what());
-            flagged = true;
-            break;
-          }
-          if (hi <= lo) continue;  // no cells computed at this point
-          const std::int64_t access_lo = lo + off;
-          const std::int64_t access_hi = hi - 1 + off;
-          // Static array extent: local index (i - B_LO) must fit.
-          const std::int64_t static_hi = buf_lo + ext;
-          if (access_lo < buf_lo || access_hi >= buf_hi ||
-              access_hi >= static_hi) {
-            support::Diagnostic& diag = diags->error(
-                "SCL202",
-                str_cat("stage '", prog.stage(stage).name, "' reads field '",
-                        prog.field(access.field).name, "' at offset ", off,
-                        " over [", access_lo, ", ", access_hi + 1,
-                        ") along dim ", d,
-                        ", escaping the local buffer box [", buf_lo, ", ",
-                        std::min(buf_hi, static_hi), ")"));
-            diag.location = {"kernel", kernel_name(kernel), -1};
-            diag.notes.push_back(str_cat(
-                "evaluated at region origin ", origin,
-                ", fused-iteration distance pass_h - it = ", dt));
-            diag.notes.push_back(str_cat(
-                "the halo this access needs is neither held in the "
-                "buffer margin nor deliverable by a pipe at that "
-                "iteration"));
-            flagged = true;
-            break;
-          }
+      for (const StagePoint& p : points[ds]) {
+        if (p.failure) {
+          report_unparsable(diags, kernel, *p.failure);
+          break;
+        }
+        if (p.hi <= p.lo) continue;  // no cells computed at this point
+        const std::int64_t access_lo = p.lo + off;
+        const std::int64_t access_hi = p.hi - 1 + off;
+        // Static array extent: local index (i - B_LO) must fit.
+        const std::int64_t static_hi = p.buf_lo + ext;
+        if (access_lo < p.buf_lo || access_hi >= p.buf_hi ||
+            access_hi >= static_hi) {
+          support::Diagnostic& diag = diags->error(
+              "SCL202",
+              str_cat("stage '", prog.stage(stage).name, "' reads field '",
+                      prog.field(access.field).name, "' at offset ", off,
+                      " over [", access_lo, ", ", access_hi + 1,
+                      ") along dim ", d,
+                      ", escaping the local buffer box [", p.buf_lo, ", ",
+                      std::min(p.buf_hi, static_hi), ")"));
+          diag.location = {"kernel", kernel_name(kernel), -1};
+          diag.notes.push_back(str_cat(
+              "evaluated at region origin ", p.origin,
+              ", fused-iteration distance pass_h - it = ", p.dt));
+          diag.notes.push_back(str_cat(
+              "the halo this access needs is neither held in the "
+              "buffer margin nor deliverable by a pipe at that "
+              "iteration"));
+          break;
         }
       }
     }
   }
 }
 
-void analyze_bounds(const AnalysisInput& input,
-                    support::DiagnosticEngine* diags) {
+void bounds_pass(const AnalysisInput& input, DesignBounds& extents,
+                 support::DiagnosticEngine* diags) {
   const GenContext& ctx = input.ctx;
   const StencilProgram& prog = *ctx.program;
   for (int k = 0; k < ctx.kernel_count(); ++k) {
-    check_buffer_bounds(input, k, codegen::buffer_bounds(ctx, k), diags);
+    const Samples& samples = extents.samples();
+    const CompiledBounds buffer =
+        extents.compile(codegen::buffer_bounds(ctx, k));
+    check_buffer_bounds(input, samples, k, buffer, diags);
     for (int f = 0; f < prog.field_count(); ++f) {
       if (prog.is_constant_field(f)) continue;
-      check_owned_bounds(input, k, f, codegen::owned_bounds(ctx, k, f),
+      check_owned_bounds(input, samples, k, f,
+                         extents.compile(codegen::owned_bounds(ctx, k, f)),
                          diags);
     }
     for (int s = 0; s < prog.stage_count(); ++s) {
-      check_stage_accesses(input, k, s,
-                           codegen::stage_compute_bounds(ctx, k, s), diags);
+      check_stage_accesses(input, samples, k, s, extents.bounds(k, s), buffer,
+                           diags);
     }
   }
 }
 
+}  // namespace
+
+void check_buffer_bounds(const AnalysisInput& input, int kernel,
+                         const LoopBounds& bounds,
+                         support::DiagnosticEngine* diags) {
+  DesignBounds design(input);
+  check_buffer_bounds(input, design.samples(), kernel, design.compile(bounds),
+                      diags);
+}
+
+void check_owned_bounds(const AnalysisInput& input, int kernel, int f,
+                        const LoopBounds& bounds,
+                        support::DiagnosticEngine* diags) {
+  DesignBounds design(input);
+  check_owned_bounds(input, design.samples(), kernel, f, design.compile(bounds),
+                     diags);
+}
+
+void check_stage_accesses(const AnalysisInput& input, int kernel, int stage,
+                          const LoopBounds& bounds,
+                          support::DiagnosticEngine* diags) {
+  DesignBounds design(input);
+  const CompiledBounds buffer =
+      design.compile(codegen::buffer_bounds(input.ctx, kernel));
+  check_stage_accesses(input, design.samples(), kernel, stage,
+                       design.compile(bounds), buffer, diags);
+}
+
+void analyze_bounds(const AnalysisInput& input,
+                    support::DiagnosticEngine* diags) {
+  DesignBounds extents(input);
+  bounds_pass(input, extents, diags);
+}
+
 // ---- pass 3: resource feasibility cross-check (SCL3xx) ---------------------
 
-void analyze_resources(const AnalysisInput& input,
-                       const ChargedResources& charged,
-                       support::DiagnosticEngine* diags) {
+namespace {
+
+void resource_pass(const AnalysisInput& input, const ChargedResources& charged,
+                   DesignBounds& extents, support::DiagnosticEngine* diags) {
   const GenContext& ctx = input.ctx;
   const StencilProgram& prog = *ctx.program;
 
@@ -593,7 +779,7 @@ void analyze_resources(const AnalysisInput& input,
         }
         if (ctx.neighbor_index(tile, d, side) != pipe.to_kernel) continue;
         const std::int64_t volume =
-            max_phase_volume(input, pipe.from_kernel, d, side, diags);
+            extents.max_phase_volume(pipe.from_kernel, d, side, diags);
         if (volume > 0) required_fifo += volume;
       }
     }
@@ -621,14 +807,24 @@ void analyze_resources(const AnalysisInput& input,
   }
 }
 
+}  // namespace
+
+void analyze_resources(const AnalysisInput& input,
+                       const ChargedResources& charged,
+                       support::DiagnosticEngine* diags) {
+  DesignBounds extents(input);
+  resource_pass(input, charged, extents, diags);
+}
+
 // ---- entry points ----------------------------------------------------------
 
 support::DiagnosticEngine analyze(const AnalysisInput& input,
                                   const ChargedResources* charged) {
   support::DiagnosticEngine diags;
-  analyze_pipe_graph(input, &diags);
-  analyze_bounds(input, &diags);
-  if (charged != nullptr) analyze_resources(input, *charged, &diags);
+  DesignBounds extents(input);
+  pipe_graph_pass(input, extents, &diags);
+  bounds_pass(input, extents, &diags);
+  if (charged != nullptr) resource_pass(input, *charged, extents, &diags);
   return diags;
 }
 

@@ -12,8 +12,9 @@
 //      reads, and that undersized channels do not form a blocked-write
 //      cycle (deadlock).
 //   2. Halo & bounds interval analysis — re-derives the generated kernel's
-//      loop-bound expressions (codegen/boundary_gen) and evaluates them
-//      symbolically over the region-origin / fused-iteration ranges to
+//      loop-bound expressions (codegen/boundary_gen), compiles each string
+//      once with pass 4's expression parser (analysis/ir/lower), and
+//      evaluates it over the region-origin / fused-iteration samples to
 //      prove burst reads stay inside the grid, burst writes stay inside
 //      each field's updatable region, and every stage's neighbor accesses
 //      stay inside the kernel's static local-buffer box.
@@ -34,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/interval.hpp"
 #include "codegen/boundary_gen.hpp"
 #include "codegen/context.hpp"
 #include "codegen/pipe_gen.hpp"
@@ -46,6 +48,9 @@ namespace scl::analysis {
 struct AnalysisInput {
   codegen::GenContext ctx;
   std::vector<codegen::PipeDecl> pipes;
+  /// Which region origins and iteration distances pass 2 (and the pipe
+  /// volumes of passes 1 and 3) evaluate the bounds at.
+  Sampling sampling = Sampling::kVertices;
 };
 
 /// Builds the analyzer's view of `config` exactly as codegen would see it.
@@ -58,9 +63,8 @@ AnalysisInput make_analysis_input(const scl::stencil::StencilProgram& program,
 void analyze_pipe_graph(const AnalysisInput& input,
                         support::DiagnosticEngine* diags);
 
-/// Pass 2: halo & bounds interval analysis (SCL201..SCL209). The optional
-/// `override_bounds` hook lets tests substitute tampered loop bounds for
-/// one kernel; production callers pass nothing.
+/// Pass 2: halo & bounds interval analysis (SCL201..SCL209). A bound that
+/// does not parse or evaluate is reported as SCL209, naming that bound.
 void analyze_bounds(const AnalysisInput& input,
                     support::DiagnosticEngine* diags);
 

@@ -1,207 +1,60 @@
 #include "analysis/interval.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <limits>
 
-#include "support/error.hpp"
-#include "support/strings.hpp"
+#include "sim/design.hpp"
+#include "stencil/program.hpp"
 
 namespace scl::analysis {
 
-namespace {
-
-// The interval operators saturate at the int64 edges instead of wrapping:
-// analysis inputs are untrusted (seeded-defect tests feed deliberately
-// absurd magnitudes), and signed wraparound would be UB *and* could flip
-// an out-of-bounds interval back into range, masking the very defect the
-// analyzer exists to report. Saturation keeps lo <= hi and keeps the
-// result a superset of the true range.
-std::int64_t sat_add(std::int64_t a, std::int64_t b) {
-  std::int64_t r = 0;
-  if (__builtin_add_overflow(a, b, &r)) {
-    return a > 0 ? std::numeric_limits<std::int64_t>::max()
-                 : std::numeric_limits<std::int64_t>::min();
+std::vector<std::int64_t> origin_samples(std::int64_t grid,
+                                         std::int64_t region,
+                                         std::int64_t reach,
+                                         Sampling sampling) {
+  region = std::max<std::int64_t>(region, 1);
+  std::vector<std::int64_t> out{0};
+  if (sampling == Sampling::kExhaustive) {
+    for (std::int64_t r = region; r < grid; r += region) out.push_back(r);
+    return out;
   }
-  return r;
+  if (region < grid) {
+    out.push_back(region);
+    out.push_back(((grid - 1) / region) * region);
+  }
+  bool clear_seen = false;
+  for (std::int64_t r = 0; r < grid; r += region) {
+    const bool clamped = r < reach || r + region + reach > grid;
+    if (clamped || !clear_seen) out.push_back(r);
+    if (!clamped) {
+      clear_seen = true;
+      // Skip the clear stretch: resume where the high-end clamps start.
+      const std::int64_t high = grid - region - reach;
+      if (high > r) r = std::max(r, (high / region) * region);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
-std::int64_t sat_sub(std::int64_t a, std::int64_t b) {
-  std::int64_t r = 0;
-  if (__builtin_sub_overflow(a, b, &r)) {
-    return b < 0 ? std::numeric_limits<std::int64_t>::max()
-                 : std::numeric_limits<std::int64_t>::min();
+std::int64_t clamp_reach(const stencil::StencilProgram& program,
+                         const sim::DesignConfig& config, int d) {
+  const auto ds = static_cast<std::size_t>(d);
+  const std::int64_t h = std::max<std::int64_t>(config.fused_iterations, 1);
+  std::int64_t reach = 0;
+  for (std::size_t side = 0; side < 2; ++side) {
+    reach = std::max({reach, h * program.iter_radii()[ds][side],
+                      program.max_stage_radii()[ds][side]});
   }
-  return r;
-}
-
-std::int64_t sat_mul(std::int64_t a, std::int64_t b) {
-  std::int64_t r = 0;
-  if (__builtin_mul_overflow(a, b, &r)) {
-    return (a > 0) == (b > 0) ? std::numeric_limits<std::int64_t>::max()
-                              : std::numeric_limits<std::int64_t>::min();
+  std::int64_t border = 0;
+  const stencil::Box& grid = program.grid_box();
+  for (int f = 0; f < program.field_count(); ++f) {
+    if (program.is_constant_field(f)) continue;  // never written
+    const stencil::Box updated = program.updated_box(f);
+    border = std::max({border, updated.lo[ds] - grid.lo[ds],
+                       grid.hi[ds] - updated.hi[ds]});
   }
-  return r;
-}
-
-}  // namespace
-
-Interval operator+(const Interval& a, const Interval& b) {
-  return {sat_add(a.lo, b.lo), sat_add(a.hi, b.hi)};
-}
-
-Interval operator-(const Interval& a, const Interval& b) {
-  return {sat_sub(a.lo, b.hi), sat_sub(a.hi, b.lo)};
-}
-
-Interval operator*(const Interval& a, const Interval& b) {
-  const std::int64_t p0 = sat_mul(a.lo, b.lo);
-  const std::int64_t p1 = sat_mul(a.lo, b.hi);
-  const std::int64_t p2 = sat_mul(a.hi, b.lo);
-  const std::int64_t p3 = sat_mul(a.hi, b.hi);
-  return {std::min({p0, p1, p2, p3}), std::max({p0, p1, p2, p3})};
-}
-
-Interval interval_max(const Interval& a, const Interval& b) {
-  return {std::max(a.lo, b.lo), std::max(a.hi, b.hi)};
-}
-
-Interval interval_min(const Interval& a, const Interval& b) {
-  return {std::min(a.lo, b.lo), std::min(a.hi, b.hi)};
-}
-
-namespace {
-
-/// Recursive-descent evaluator over the raw expression text. Whitespace is
-/// skipped between tokens; the cursor always rests on the next token start.
-class BoundParser {
- public:
-  BoundParser(std::string_view text, const IntervalEnv& env)
-      : text_(text), env_(env) {}
-
-  Interval parse() {
-    const Interval value = parse_expr();
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail(str_cat("trailing input at offset ", pos_));
-    }
-    return value;
-  }
-
- private:
-  Interval parse_expr() {
-    Interval value = parse_term();
-    for (;;) {
-      skip_ws();
-      if (consume('+')) {
-        value = value + parse_term();
-      } else if (consume('-')) {
-        value = value - parse_term();
-      } else {
-        return value;
-      }
-    }
-  }
-
-  Interval parse_term() {
-    Interval value = parse_factor();
-    for (;;) {
-      skip_ws();
-      if (consume('*')) {
-        value = value * parse_factor();
-      } else {
-        return value;
-      }
-    }
-  }
-
-  Interval parse_factor() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of expression");
-    const char c = text_[pos_];
-    if (c == '-') {
-      ++pos_;
-      return Interval::point(0) - parse_factor();
-    }
-    if (c == '(') {
-      ++pos_;
-      const Interval value = parse_expr();
-      expect(')');
-      return value;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::int64_t v = 0;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        v = sat_add(sat_mul(v, 10), text_[pos_] - '0');
-        ++pos_;
-      }
-      return Interval::point(v);
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      const std::string_view name = read_identifier();
-      if (name == "max" || name == "min") {
-        expect('(');
-        const Interval a = parse_expr();
-        expect(',');
-        const Interval b = parse_expr();
-        expect(')');
-        return name == "max" ? interval_max(a, b) : interval_min(a, b);
-      }
-      const auto it = env_.find(name);
-      if (it == env_.end()) {
-        fail(str_cat("unknown variable '", name, "'"));
-      }
-      return it->second;
-    }
-    fail(str_cat("unexpected character '", c, "' at offset ", pos_));
-  }
-
-  std::string_view read_identifier() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '_')) {
-      ++pos_;
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (!consume(c)) {
-      fail(str_cat("expected '", c, "' at offset ", pos_));
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw Error(str_cat("cannot parse bound expression '", text_, "': ", why));
-  }
-
-  std::string_view text_;
-  const IntervalEnv& env_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-Interval eval_bound_expr(std::string_view expr, const IntervalEnv& env) {
-  return BoundParser(expr, env).parse();
+  return reach + border;
 }
 
 }  // namespace scl::analysis

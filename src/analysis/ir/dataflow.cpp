@@ -1,7 +1,7 @@
 #include "analysis/ir/dataflow.hpp"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -64,27 +64,54 @@ struct IntervalUnion {
   }
 };
 
-/// One kernel's facts accumulated across every sampled environment.
+/// One kernel's facts accumulated across every sampled environment,
+/// indexed the way the lowering resolved the names.
 struct KernelFacts {
-  std::map<std::string, IntervalUnion, std::less<>> written;  ///< local buffers
-  std::set<std::string, std::less<>> stored_buffers;
-  std::set<std::string, std::less<>> loaded_buffers;
-  std::set<std::string, std::less<>> stored_globals;
-  /// Loop statement lines: every loop seen, and those whose body ran
-  /// under at least one sampled environment.
-  std::set<int> loops_seen;
-  std::set<int> loops_executed;
+  explicit KernelFacts(const Kernel& kernel)
+      : written(kernel.locals.size()),
+        stored(kernel.locals.size(), 0),
+        loaded(kernel.locals.size(), 0),
+        stored_outputs(kernel.global_outputs.size(), 0),
+        loop_seen(static_cast<std::size_t>(kernel.loop_count), 0),
+        loop_executed(static_cast<std::size_t>(kernel.loop_count), 0) {}
+
+  std::vector<IntervalUnion> written;  ///< per local buffer
+  std::vector<char> stored;            ///< per local buffer
+  std::vector<char> loaded;            ///< per local buffer
+  std::vector<char> stored_outputs;    ///< per __global output
+  /// Per loop: seen at all, and its body ran under at least one sampled
+  /// environment.
+  std::vector<char> loop_seen;
+  std::vector<char> loop_executed;
 };
+
+/// One host enqueue: the region origin and the pass depth.
+struct Sample {
+  std::array<std::int64_t, 3> r{0, 0, 0};
+  std::int64_t pass_h = 1;
+};
+
+/// A local-buffer load and the index range it reached under one
+/// environment.
+struct LocalLoad {
+  const ArrayRef* ref;
+  Interval index;
+};
+
+/// Per-pipe token totals for one walk: [0] = writes, [1] = reads.
+using TokenCount = std::array<std::int64_t, 2>;
 
 class ModuleAnalyzer {
  public:
   ModuleAnalyzer(const Module& module, const IrContext& ctx,
-                 support::DiagnosticEngine* diags)
-      : module_(module), ctx_(ctx), diags_(diags) {}
+                 support::DiagnosticEngine* diags, DataflowStats* stats)
+      : module_(module), ctx_(ctx), diags_(diags), stats_(stats),
+        env_(module.slots) {}
 
   void run() {
     report_unmodeled();
-    build_environments();
+    build_samples();
+    stats_->environments += static_cast<std::int64_t>(samples_.size());
     for (const Kernel& kernel : module_.kernels) {
       analyze_kernel(kernel);
     }
@@ -126,27 +153,16 @@ class ModuleAnalyzer {
 
   // ---- environment sampling -------------------------------------------
 
-  /// Origin samples along dimension d, mirroring the emitted host sweep
-  /// `for (r = 0; r < grid; r += region)`: first, one interior, last.
-  std::vector<std::int64_t> origin_samples(int d) const {
-    const auto ds = static_cast<std::size_t>(d);
-    const std::int64_t grid = ctx_.grid_extents[ds];
-    const std::int64_t region = std::max<std::int64_t>(ctx_.region_extents[ds], 1);
-    std::vector<std::int64_t> out{0};
-    if (region < grid) {
-      out.push_back(region);
-      out.push_back(((grid - 1) / region) * region);
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  }
-
   /// pass_h values the host can pass: the full depth and, when the total
-  /// iteration count is not a multiple, the final partial pass.
+  /// iteration count is not a multiple, the final partial pass. The
+  /// exhaustive oracle takes every depth up to the full one.
   std::vector<std::int64_t> pass_samples() const {
     const std::int64_t h = std::max<std::int64_t>(ctx_.fused_iterations, 1);
-    std::vector<std::int64_t> out{std::min(h, ctx_.iterations)};
+    const std::int64_t full = std::min(h, ctx_.iterations);
+    std::vector<std::int64_t> out{full};
+    if (ctx_.sampling == Sampling::kExhaustive) {
+      for (std::int64_t ph = 1; ph < full; ++ph) out.push_back(ph);
+    }
     const std::int64_t tail = ctx_.iterations % h;
     if (tail > 0) out.push_back(tail);
     std::sort(out.begin(), out.end());
@@ -158,43 +174,58 @@ class ModuleAnalyzer {
   /// origins must vary *jointly* — flattened indices sum per-dimension
   /// contributions, so independent wide intervals would lose the
   /// correlation between a loop's range and the buffer origin macro.
-  void build_environments() {
+  void build_samples() {
     std::array<std::vector<std::int64_t>, 3> per_dim;
     for (int d = 0; d < 3; ++d) {
-      per_dim[static_cast<std::size_t>(d)] =
-          d < ctx_.dims ? origin_samples(d) : std::vector<std::int64_t>{0};
+      const auto ds = static_cast<std::size_t>(d);
+      per_dim[ds] = d < ctx_.dims
+                        ? origin_samples(ctx_.grid_extents[ds],
+                                         ctx_.region_extents[ds],
+                                         ctx_.clamp_reach[ds], ctx_.sampling)
+                        : std::vector<std::int64_t>{0};
     }
+    const std::vector<std::int64_t> depths = pass_samples();
     for (const std::int64_t r0 : per_dim[0]) {
       for (const std::int64_t r1 : per_dim[1]) {
         for (const std::int64_t r2 : per_dim[2]) {
-          for (const std::int64_t ph : pass_samples()) {
-            IntervalEnv env;
-            env["r0"] = Interval::point(r0);
-            env["r1"] = Interval::point(r1);
-            env["r2"] = Interval::point(r2);
-            env["pass_h"] = Interval::point(ph);
-            envs_.push_back(std::move(env));
+          for (const std::int64_t ph : depths) {
+            samples_.push_back({{r0, r1, r2}, ph});
           }
         }
       }
     }
   }
 
-  static std::string env_summary(const IntervalEnv& env) {
-    return str_cat("r0=", env.at("r0").lo, " r1=", env.at("r1").lo,
-                   " r2=", env.at("r2").lo, " pass_h=",
-                   env.at("pass_h").lo);
+  /// Resets `env_` to `sample`: origins and pass depth bound, every other
+  /// slot (including the fused-iteration counter) out of scope.
+  void bind_sample(const Sample& sample) {
+    std::fill(env_.values.begin(), env_.values.end(), kUnbound);
+    env_[kSlotR0] = Interval::point(sample.r[0]);
+    env_[kSlotR1] = Interval::point(sample.r[1]);
+    env_[kSlotR2] = Interval::point(sample.r[2]);
+    env_[kSlotPassH] = Interval::point(sample.pass_h);
+  }
+
+  static std::string env_summary(const Env& env) {
+    return str_cat("r0=", env[kSlotR0].lo, " r1=", env[kSlotR1].lo,
+                   " r2=", env[kSlotR2].lo, " pass_h=", env[kSlotPassH].lo);
+  }
+
+  Interval eval(const Expr& expr, bool* int32_overflow = nullptr) {
+    ++stats_->expressions;
+    return eval_expr(expr, env_, int32_overflow);
   }
 
   // ---- per-kernel analysis --------------------------------------------
 
   void analyze_kernel(const Kernel& kernel) {
-    KernelFacts facts;
-    buffer_sizes_.clear();
-    for (const Buffer& buffer : kernel.locals) {
+    KernelFacts facts(kernel);
+    buffer_sizes_.assign(kernel.locals.size(), std::nullopt);
+    std::fill(env_.values.begin(), env_.values.end(), kUnbound);
+    for (std::size_t b = 0; b < kernel.locals.size(); ++b) {
+      const Buffer& buffer = kernel.locals[b];
       try {
-        const Interval size = eval_expr(buffer.size, IntervalEnv{});
-        buffer_sizes_[buffer.name] = size.lo;
+        buffer_sizes_[b] = eval(buffer.size).lo;
       } catch (const Error& e) {
         emit("SCL409", support::Severity::kWarning, kernel.name, buffer.name,
              buffer.line,
@@ -205,27 +236,35 @@ class ModuleAnalyzer {
 
     // Walk 1 per environment: index checks + fact accumulation. The
     // fused-iteration counter stays abstract ([1, pass_h]) — sound for
-    // indices and cheap.
-    for (const IntervalEnv& base : envs_) {
-      IntervalEnv env = base;
-      const Interval ph = env.at("pass_h");
-      env["it"] = {1, ph.hi};
-      walk_collect(kernel, kernel.body, env, &facts);
+    // indices and cheap. Local-buffer loads are recorded with their index
+    // ranges, per environment.
+    local_loads_.clear();
+    std::vector<std::size_t> loads_end;
+    for (const Sample& sample : samples_) {
+      bind_sample(sample);
+      env_[kSlotIt] = {1, sample.pass_h};
+      ++stats_->walks;
+      walk_collect(kernel, kernel.body, &facts);
+      loads_end.push_back(local_loads_.size());
     }
 
-    // Walk 2 per environment: uninitialized-read checks need the complete
-    // written hull, so they run after every store has been seen.
-    for (const IntervalEnv& base : envs_) {
-      IntervalEnv env = base;
-      const Interval ph = env.at("pass_h");
-      env["it"] = {1, ph.hi};
-      walk_uninit(kernel, kernel.body, env, facts);
+    // Then the uninitialized-read checks, which need the complete written
+    // hull: replay each environment's recorded loads (a second walk would
+    // re-evaluate the same indices under the same bindings).
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i < samples_.size(); ++i) {
+      bind_sample(samples_[i]);
+      for (std::size_t l = begin; l < loads_end[i]; ++l) {
+        check_uninit(kernel, *local_loads_[l].ref, local_loads_[l].index,
+                     facts);
+      }
+      begin = loads_end[i];
     }
 
     // Whole-kernel verdicts.
-    for (const Buffer& buffer : kernel.locals) {
-      if (facts.stored_buffers.count(buffer.name) != 0 &&
-          facts.loaded_buffers.count(buffer.name) == 0) {
+    for (std::size_t b = 0; b < kernel.locals.size(); ++b) {
+      const Buffer& buffer = kernel.locals[b];
+      if (facts.stored[b] != 0 && facts.loaded[b] == 0) {
         support::Diagnostic* diag = emit(
             "SCL404", support::Severity::kError, kernel.name, buffer.name,
             buffer.line,
@@ -237,16 +276,22 @@ class ModuleAnalyzer {
         }
       }
     }
-    for (const std::string& global : kernel.global_outputs) {
-      if (facts.stored_globals.count(global) == 0) {
+    for (std::size_t o = 0; o < kernel.global_outputs.size(); ++o) {
+      if (facts.stored_outputs[o] == 0) {
+        const std::string& global = kernel.global_outputs[o];
         emit("SCL408", support::Severity::kError, kernel.name, global,
              kernel.line,
              str_cat("__global output '", global,
                      "' is never stored to; the kernel produces no result"));
       }
     }
-    for (const int line : facts.loops_seen) {
-      if (facts.loops_executed.count(line) == 0) {
+    // Loops are reported by line, like the source reads: a line is
+    // covered when any loop on it ran.
+    std::set<int> lines_seen;
+    std::set<int> lines_executed;
+    collect_loop_lines(kernel.body, facts, &lines_seen, &lines_executed);
+    for (const int line : lines_seen) {
+      if (lines_executed.count(line) == 0) {
         support::Diagnostic* diag =
             emit("SCL407", support::Severity::kWarning, kernel.name,
                  str_cat("loop@", line), line,
@@ -262,39 +307,58 @@ class ModuleAnalyzer {
     }
   }
 
-  /// Evaluates one index, reporting SCL401/402/405; returns the interval
-  /// or nullopt when evaluation failed (already reported as SCL409).
-  std::optional<Interval> check_ref(const Kernel& kernel, const ArrayRef& ref,
-                                    bool is_store, const IntervalEnv& env,
-                                    KernelFacts* facts) {
+  static void collect_loop_lines(const StmtList& stmts,
+                                 const KernelFacts& facts,
+                                 std::set<int>* seen,
+                                 std::set<int>* executed) {
+    for (const Stmt& stmt : stmts) {
+      if (stmt.kind != Stmt::Kind::kLoop) continue;
+      const auto id = static_cast<std::size_t>(stmt.loop_id);
+      if (facts.loop_seen[id] != 0) seen->insert(stmt.line);
+      if (facts.loop_executed[id] != 0) executed->insert(stmt.line);
+      collect_loop_lines(stmt.body, facts, seen, executed);
+    }
+  }
+
+  /// True when `ref` indexes a local buffer of known size.
+  bool sized_local(const ArrayRef& ref) const {
+    return ref.local >= 0 &&
+           buffer_sizes_[static_cast<std::size_t>(ref.local)].has_value();
+  }
+
+  /// Evaluates one index, reporting SCL401/402/405 (or SCL409 when the
+  /// index cannot be evaluated), and records the access in `facts`.
+  void check_ref(const Kernel& kernel, const ArrayRef& ref, bool is_store,
+                 KernelFacts* facts) {
     bool int32_overflow = false;
     Interval idx;
     try {
-      idx = eval_expr(ref.index, env, &int32_overflow);
+      idx = eval(ref.index, &int32_overflow);
     } catch (const Error& e) {
       emit("SCL409", support::Severity::kWarning, kernel.name,
            str_cat(ref.array, "@", ref.line), ref.line,
            str_cat("index of '", ref.array,
                    "' could not be evaluated: ", e.what()));
-      return std::nullopt;
+      return;
     }
     if (int32_overflow) {
       support::Diagnostic* diag =
           emit("SCL405", support::Severity::kError, kernel.name,
                str_cat(ref.array, "@", ref.line), ref.line,
                str_cat("index arithmetic for '", ref.array, "[",
-                       ref.index.to_string(),
+                       ref.index.to_string(module_.slots),
                        "]' can exceed 32-bit signed range"));
       if (diag != nullptr) {
         diag->notes.push_back(
             "OpenCL `int` is 32 bits; the emitted expression wraps on the "
             "device");
-        diag->notes.push_back(str_cat("under ", env_summary(env)));
+        diag->notes.push_back(str_cat("under ", env_summary(env_)));
       }
     }
-    const auto size_it = buffer_sizes_.find(ref.array);
-    if (size_it != buffer_sizes_.end()) {
-      const std::int64_t size = size_it->second;
+    const bool local = sized_local(ref);
+    if (local) {
+      const std::int64_t size =
+          *buffer_sizes_[static_cast<std::size_t>(ref.local)];
       if (idx.lo < 0 || idx.hi >= size) {
         support::Diagnostic* diag = emit(
             "SCL401", support::Severity::kError, kernel.name,
@@ -303,12 +367,12 @@ class ModuleAnalyzer {
                     ref.array, "' can reach index [", idx.lo, ", ", idx.hi,
                     "], outside [0, ", size, ")"));
         if (diag != nullptr) {
-          diag->notes.push_back(str_cat("emitted index: ",
-                                        ref.index.to_string()));
-          diag->notes.push_back(str_cat("under ", env_summary(env)));
+          diag->notes.push_back(str_cat(
+              "emitted index: ", ref.index.to_string(module_.slots)));
+          diag->notes.push_back(str_cat("under ", env_summary(env_)));
         }
       }
-    } else if (is_global(kernel, ref.array)) {
+    } else if (ref.global) {
       const std::int64_t cells = ctx_.grid_cells();
       if (idx.lo < 0 || idx.hi >= cells) {
         support::Diagnostic* diag = emit(
@@ -318,44 +382,37 @@ class ModuleAnalyzer {
                     ref.array, "' can reach index [", idx.lo, ", ", idx.hi,
                     "], outside the grid's [0, ", cells, ")"));
         if (diag != nullptr) {
-          diag->notes.push_back(str_cat("emitted index: ",
-                                        ref.index.to_string()));
-          diag->notes.push_back(str_cat("under ", env_summary(env)));
+          diag->notes.push_back(str_cat(
+              "emitted index: ", ref.index.to_string(module_.slots)));
+          diag->notes.push_back(str_cat("under ", env_summary(env_)));
         }
       }
     }
-    if (facts != nullptr) {
-      if (is_store) {
-        if (size_it != buffer_sizes_.end()) {
-          facts->stored_buffers.insert(ref.array);
-          facts->written[ref.array].add(idx);
-        } else {
-          facts->stored_globals.insert(ref.array);
-        }
-      } else if (size_it != buffer_sizes_.end()) {
-        facts->loaded_buffers.insert(ref.array);
+    if (is_store) {
+      if (local) {
+        const auto b = static_cast<std::size_t>(ref.local);
+        facts->stored[b] = 1;
+        facts->written[b].add(idx);
+      } else if (ref.output >= 0) {
+        facts->stored_outputs[static_cast<std::size_t>(ref.output)] = 1;
       }
+    } else if (local) {
+      facts->loaded[static_cast<std::size_t>(ref.local)] = 1;
+      local_loads_.push_back({&ref, idx});
     }
-    return idx;
   }
 
-  static bool is_global(const Kernel& kernel, const std::string& name) {
-    const auto in = [&](const std::vector<std::string>& v) {
-      return std::find(v.begin(), v.end(), name) != v.end();
-    };
-    return in(kernel.global_inputs) || in(kernel.global_outputs);
-  }
-
-  /// Loop-range evaluation shared by both walks. Returns false when the
-  /// body provably never executes under `env` (and records emptiness).
-  bool enter_loop(const Kernel& kernel, const Stmt& loop, IntervalEnv* env,
-                  KernelFacts* facts, Interval* saved, bool* had_var) {
-    if (facts != nullptr) facts->loops_seen.insert(loop.line);
+  /// Loop-range evaluation. Returns false when the body provably never
+  /// executes (or its bounds cannot be evaluated); otherwise binds the
+  /// loop variable, saving its previous value.
+  bool enter_loop(const Kernel& kernel, const Stmt& loop, KernelFacts* facts,
+                  Interval* saved) {
+    facts->loop_seen[static_cast<std::size_t>(loop.loop_id)] = 1;
     Interval lo;
     Interval hi;
     try {
-      lo = eval_expr(loop.lo, *env);
-      hi = eval_expr(loop.hi, *env);
+      lo = eval(loop.lo);
+      hi = eval(loop.hi);
     } catch (const Error& e) {
       emit("SCL409", support::Severity::kWarning, kernel.name,
            str_cat("loop@", loop.line), loop.line,
@@ -365,42 +422,30 @@ class ModuleAnalyzer {
     }
     const std::int64_t var_max = loop.inclusive ? hi.hi : hi.hi - 1;
     if (lo.lo > var_max) return false;  // empty range: body unreachable
-    if (facts != nullptr) facts->loops_executed.insert(loop.line);
-    const auto it = env->find(loop.var);
-    *had_var = it != env->end();
-    if (*had_var) *saved = it->second;
-    (*env)[loop.var] = {lo.lo, var_max};
+    facts->loop_executed[static_cast<std::size_t>(loop.loop_id)] = 1;
+    *saved = env_[loop.var_slot];
+    env_[loop.var_slot] = {lo.lo, var_max};
     return true;
   }
 
-  void leave_loop(const Stmt& loop, IntervalEnv* env, const Interval& saved,
-                  bool had_var) {
-    if (had_var) {
-      (*env)[loop.var] = saved;
-    } else {
-      env->erase(loop.var);
-    }
-  }
-
   void walk_collect(const Kernel& kernel, const StmtList& stmts,
-                    IntervalEnv& env, KernelFacts* facts) {
+                    KernelFacts* facts) {
     for (const Stmt& stmt : stmts) {
       switch (stmt.kind) {
         case Stmt::Kind::kLoop: {
           Interval saved;
-          bool had_var = false;
-          if (enter_loop(kernel, stmt, &env, facts, &saved, &had_var)) {
-            walk_collect(kernel, stmt.body, env, facts);
-            leave_loop(stmt, &env, saved, had_var);
+          if (enter_loop(kernel, stmt, facts, &saved)) {
+            walk_collect(kernel, stmt.body, facts);
+            env_[stmt.var_slot] = saved;
           }
           break;
         }
         case Stmt::Kind::kStore:
           if (stmt.store.has_value()) {
-            check_ref(kernel, *stmt.store, /*is_store=*/true, env, facts);
+            check_ref(kernel, *stmt.store, /*is_store=*/true, facts);
           }
           for (const ArrayRef& load : stmt.loads) {
-            check_ref(kernel, load, /*is_store=*/false, env, facts);
+            check_ref(kernel, load, /*is_store=*/false, facts);
           }
           break;
         case Stmt::Kind::kPipeRead:
@@ -412,193 +457,125 @@ class ModuleAnalyzer {
     }
   }
 
-  void walk_uninit(const Kernel& kernel, const StmtList& stmts,
-                   IntervalEnv& env, const KernelFacts& facts) {
-    for (const Stmt& stmt : stmts) {
-      switch (stmt.kind) {
-        case Stmt::Kind::kLoop: {
-          Interval saved;
-          bool had_var = false;
-          if (enter_loop(kernel, stmt, &env, nullptr, &saved, &had_var)) {
-            walk_uninit(kernel, stmt.body, env, facts);
-            leave_loop(stmt, &env, saved, had_var);
-          }
-          break;
-        }
-        case Stmt::Kind::kStore: {
-          for (const ArrayRef& load : stmt.loads) {
-            if (buffer_sizes_.find(load.array) == buffer_sizes_.end()) {
-              continue;  // globals are initialized by the host
-            }
-            Interval idx;
-            try {
-              idx = eval_expr(load.index, env);
-            } catch (const Error&) {
-              continue;  // walk 1 already reported SCL409
-            }
-            const auto written = facts.written.find(load.array);
-            const bool never_written =
-                written == facts.written.end() || written->second.empty();
-            if (never_written || !written->second.intersects(idx)) {
-              support::Diagnostic* diag = emit(
-                  "SCL403", support::Severity::kError, kernel.name,
-                  str_cat(load.array, "@", load.line), load.line,
-                  str_cat("load from __local buffer '", load.array,
-                          "' at index [", idx.lo, ", ", idx.hi,
-                          "] that no store can have written"));
-              if (diag != nullptr) {
-                diag->notes.push_back(
-                    never_written
-                        ? str_cat("the kernel never stores to '", load.array,
-                                  "'")
-                        : "every store's index range is disjoint from this "
-                          "load");
-                diag->notes.push_back(str_cat("under ", env_summary(env)));
-              }
-            }
-          }
-          break;
-        }
-        default:
-          break;
-      }
+  /// SCL403: a local load whose index range no store can have written.
+  void check_uninit(const Kernel& kernel, const ArrayRef& load,
+                    const Interval& idx, const KernelFacts& facts) {
+    const IntervalUnion& written =
+        facts.written[static_cast<std::size_t>(load.local)];
+    const bool never_written = written.empty();
+    if (!never_written && written.intersects(idx)) return;
+    support::Diagnostic* diag =
+        emit("SCL403", support::Severity::kError, kernel.name,
+             str_cat(load.array, "@", load.line), load.line,
+             str_cat("load from __local buffer '", load.array, "' at index [",
+                     idx.lo, ", ", idx.hi, "] that no store can have written"));
+    if (diag != nullptr) {
+      diag->notes.push_back(
+          never_written
+              ? str_cat("the kernel never stores to '", load.array, "'")
+              : "every store's index range is disjoint from this load");
+      diag->notes.push_back(str_cat("under ", env_summary(env_)));
     }
   }
 
   // ---- pipe token balance ---------------------------------------------
 
-  static bool subtree_has_pipe_op(const Stmt& stmt) {
-    if (stmt.kind == Stmt::Kind::kPipeRead ||
-        stmt.kind == Stmt::Kind::kPipeWrite) {
-      return true;
-    }
-    return std::any_of(stmt.body.begin(), stmt.body.end(),
-                       subtree_has_pipe_op);
-  }
-
-  static void collect_subtree_pipes(const StmtList& stmts,
-                                    std::set<std::string>* out) {
-    for (const Stmt& stmt : stmts) {
-      if (stmt.kind == Stmt::Kind::kPipeRead ||
-          stmt.kind == Stmt::Kind::kPipeWrite) {
-        out->insert(stmt.pipe);
-      }
-      collect_subtree_pipes(stmt.body, out);
+  void mark_unknown(const Stmt& loop) {
+    for (const int p : loop.pipes) {
+      unknown_[static_cast<std::size_t>(p)] = 1;
     }
   }
-
-  static bool expr_uses_var(const Expr& expr, const std::string& var) {
-    if (expr.kind == Expr::Kind::kVar) return expr.name == var;
-    return std::any_of(expr.args.begin(), expr.args.end(),
-                       [&](const Expr& a) { return expr_uses_var(a, var); });
-  }
-
-  static bool subtree_bounds_use_var(const StmtList& stmts,
-                                     const std::string& var) {
-    for (const Stmt& stmt : stmts) {
-      if (stmt.kind != Stmt::Kind::kLoop) continue;
-      if (expr_uses_var(stmt.lo, var) || expr_uses_var(stmt.hi, var) ||
-          subtree_bounds_use_var(stmt.body, var)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Per-pipe token totals for one walk: [0] = writes, [1] = reads.
-  using TokenCounts = std::map<std::string, std::array<std::int64_t, 2>,
-                               std::less<>>;
 
   /// Exact token counts for every pipe at once under a fully concrete
   /// environment — one walk per (kernel, environment) instead of one per
-  /// (pipe, direction, kernel, environment), which dominated the deep
-  /// per-candidate analysis cost. Loops whose variable appears in nested
-  /// bounds are enumerated; others multiply by trip count. A loop whose
-  /// bound fails to evaluate or whose enumeration exceeds the cap poisons
-  /// only the pipes inside it (collected into `unknown`) — balance for
-  /// those is skipped, never a false positive.
-  void count_tokens(const StmtList& stmts, IntervalEnv& env,
-                    TokenCounts* counts, std::set<std::string>* unknown) {
+  /// (pipe, direction, kernel, environment). Loops whose variable appears
+  /// in nested bounds are enumerated; others multiply one body pass by
+  /// the trip count. A loop whose bound fails to evaluate or whose
+  /// enumeration exceeds the cap poisons only the pipes inside it (marked
+  /// unknown) — balance for those is skipped, never a false positive.
+  void count_tokens(const StmtList& stmts) {
     for (const Stmt& stmt : stmts) {
-      if (stmt.kind == Stmt::Kind::kPipeWrite) {
-        ++(*counts)[stmt.pipe][0];
+      if (stmt.kind == Stmt::Kind::kPipeWrite ||
+          stmt.kind == Stmt::Kind::kPipeRead) {
+        if (stmt.pipe_index >= 0) {
+          ++counts_[static_cast<std::size_t>(stmt.pipe_index)]
+                   [stmt.kind == Stmt::Kind::kPipeWrite ? 0 : 1];
+        }
         continue;
       }
-      if (stmt.kind == Stmt::Kind::kPipeRead) {
-        ++(*counts)[stmt.pipe][1];
-        continue;
-      }
-      if (stmt.kind != Stmt::Kind::kLoop || !subtree_has_pipe_op(stmt)) {
-        continue;
-      }
+      if (stmt.kind != Stmt::Kind::kLoop || !stmt.has_pipe_op) continue;
       Interval lo;
       Interval hi;
       try {
-        lo = eval_expr(stmt.lo, env);
-        hi = eval_expr(stmt.hi, env);
+        lo = eval(stmt.lo);
+        hi = eval(stmt.hi);
       } catch (const Error&) {
-        collect_subtree_pipes(stmt.body, unknown);
+        mark_unknown(stmt);
         continue;
       }
       const std::int64_t last = stmt.inclusive ? hi.lo : hi.lo - 1;
       const std::int64_t trip = std::max<std::int64_t>(0, last - lo.lo + 1);
       if (trip == 0) continue;
-      if (subtree_bounds_use_var(stmt.body, stmt.var)) {
+      if (stmt.bounds_use_var) {
         if (trip > kEnumerationCap) {
-          collect_subtree_pipes(stmt.body, unknown);
+          mark_unknown(stmt);
           continue;
         }
-        const auto saved = env.find(stmt.var);
-        const bool had = saved != env.end();
-        const Interval old = had ? saved->second : Interval{};
+        const Interval saved = env_[stmt.var_slot];
         for (std::int64_t v = lo.lo; v <= last; ++v) {
-          env[stmt.var] = Interval::point(v);
-          count_tokens(stmt.body, env, counts, unknown);
+          env_[stmt.var_slot] = Interval::point(v);
+          count_tokens(stmt.body);
         }
-        if (had) {
-          env[stmt.var] = old;
-        } else {
-          env.erase(stmt.var);
-        }
+        env_[stmt.var_slot] = saved;
       } else {
-        env[stmt.var] = Interval::point(lo.lo);  // bounds ignore it anyway
-        TokenCounts inner;
-        count_tokens(stmt.body, env, &inner, unknown);
-        env.erase(stmt.var);
-        for (const auto& [pipe, n] : inner) {
-          (*counts)[pipe][0] += trip * n[0];
-          (*counts)[pipe][1] += trip * n[1];
+        // One body pass, scaled: remember the touched pipes' totals,
+        // count the body once, then multiply its contribution by trip.
+        const std::size_t base = before_.size();
+        for (const int p : stmt.pipes) {
+          before_.push_back(counts_[static_cast<std::size_t>(p)]);
         }
+        env_[stmt.var_slot] = Interval::point(lo.lo);  // bounds ignore it
+        count_tokens(stmt.body);
+        env_[stmt.var_slot] = kUnbound;
+        for (std::size_t i = 0; i < stmt.pipes.size(); ++i) {
+          TokenCount& now = counts_[static_cast<std::size_t>(stmt.pipes[i])];
+          const TokenCount& was = before_[base + i];
+          for (std::size_t dir = 0; dir < 2; ++dir) {
+            now[dir] = was[dir] + trip * (now[dir] - was[dir]);
+          }
+        }
+        before_.resize(base);
       }
     }
   }
 
   void check_pipe_balance() {
     if (module_.pipes.empty()) return;
-    std::set<std::string> reported;
-    std::set<std::string> unknown;
-    for (const IntervalEnv& base : envs_) {
-      TokenCounts counts;
+    const std::size_t pipes = module_.pipes.size();
+    std::vector<char> reported(pipes, 0);
+    unknown_.assign(pipes, 0);
+    for (const Sample& sample : samples_) {
+      counts_.assign(pipes, TokenCount{0, 0});
       for (const Kernel& kernel : module_.kernels) {
-        IntervalEnv env = base;
-        count_tokens(kernel.body, env, &counts, &unknown);
+        bind_sample(sample);
+        ++stats_->walks;
+        count_tokens(kernel.body);
       }
-      for (const PipeChannel& pipe : module_.pipes) {
-        if (reported.count(pipe.name) != 0 || unknown.count(pipe.name) != 0) {
-          continue;
-        }
-        const auto it = counts.find(pipe.name);
-        const std::int64_t writes = it != counts.end() ? it->second[0] : 0;
-        const std::int64_t reads = it != counts.end() ? it->second[1] : 0;
+      for (std::size_t p = 0; p < pipes; ++p) {
+        const PipeChannel& pipe = module_.pipes[p];
+        if (reported[p] != 0 || unknown_[p] != 0) continue;
+        const std::int64_t writes = counts_[p][0];
+        const std::int64_t reads = counts_[p][1];
         if (writes == reads) continue;
-        reported.insert(pipe.name);  // one environment is enough evidence
+        reported[p] = 1;  // one environment is enough evidence
         support::Diagnostic* diag = emit(
             "SCL406", support::Severity::kError, "", pipe.name, pipe.line,
             str_cat("pipe '", pipe.name, "' is unbalanced: ", writes,
                     " write(s) vs ", reads, " read(s) over one pass"));
         if (diag != nullptr) {
           diag->location = {"pipe", pipe.name, pipe.line};
-          diag->notes.push_back(str_cat("under ", env_summary(base)));
+          bind_sample(sample);
+          diag->notes.push_back(str_cat("under ", env_summary(env_)));
           diag->notes.push_back(
               writes > reads
                   ? "surplus tokens accumulate until the writer blocks "
@@ -608,8 +585,9 @@ class ModuleAnalyzer {
         }
       }
     }
-    for (const PipeChannel& pipe : module_.pipes) {
-      if (unknown.count(pipe.name) == 0) continue;
+    for (std::size_t p = 0; p < pipes; ++p) {
+      if (unknown_[p] == 0) continue;
+      const PipeChannel& pipe = module_.pipes[p];
       emit("SCL409", support::Severity::kWarning, "", pipe.name, pipe.line,
            str_cat("token balance for pipe '", pipe.name,
                    "' could not be established (unevaluable or oversized "
@@ -620,9 +598,19 @@ class ModuleAnalyzer {
   const Module& module_;
   const IrContext& ctx_;
   support::DiagnosticEngine* diags_;
-  std::vector<IntervalEnv> envs_;
-  /// Local-buffer name -> constant element count, for the current kernel.
-  std::map<std::string, std::int64_t, std::less<>> buffer_sizes_;
+  DataflowStats* stats_;
+  std::vector<Sample> samples_;
+  /// The environment every walk evaluates under, one interval per slot.
+  Env env_;
+  /// Current kernel's local-buffer sizes (nullopt: not a constant).
+  std::vector<std::optional<std::int64_t>> buffer_sizes_;
+  /// The current kernel's local-buffer loads walk 1 evaluated, in walk
+  /// order, for the uninitialized-read replay.
+  std::vector<LocalLoad> local_loads_;
+  /// Token-count state of check_pipe_balance, per declared pipe.
+  std::vector<TokenCount> counts_;
+  std::vector<TokenCount> before_;
+  std::vector<char> unknown_;
   std::set<std::string> emitted_;
 };
 
@@ -636,6 +624,7 @@ IrContext make_ir_context(const scl::stencil::StencilProgram& program,
     const auto ds = static_cast<std::size_t>(d);
     ctx.grid_extents[ds] = program.grid_box().extent(d);
     ctx.region_extents[ds] = std::max<std::int64_t>(config.region_extent(d), 1);
+    ctx.clamp_reach[ds] = clamp_reach(program, config, d);
   }
   ctx.fused_iterations = std::max<std::int64_t>(config.fused_iterations, 1);
   ctx.iterations = std::max<std::int64_t>(program.iterations(), 1);
@@ -643,8 +632,9 @@ IrContext make_ir_context(const scl::stencil::StencilProgram& program,
 }
 
 void analyze_module(const Module& module, const IrContext& ctx,
-                    support::DiagnosticEngine* diags) {
-  ModuleAnalyzer(module, ctx, diags).run();
+                    support::DiagnosticEngine* diags, DataflowStats* stats) {
+  DataflowStats local;
+  ModuleAnalyzer(module, ctx, diags, stats != nullptr ? stats : &local).run();
 }
 
 void analyze_kernel_source(const std::string& source, const IrContext& ctx,

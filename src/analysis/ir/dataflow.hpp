@@ -22,13 +22,21 @@
 // origin) and the pass-depth values the host can produce. Indices are
 // checked with the fused-iteration counter `it` as the interval
 // [1, pass_h]; pipe-token counts are exact, enumerating `it` concretely
-// because send/receive strip bounds depend on it.
+// because send/receive strip bounds depend on it. IrContext::sampling
+// switches to every origin and depth; tests use that as the oracle the
+// vertex samples must agree with.
+//
+// Cost model: every expression was compiled once by the lowering, so a
+// walk evaluates postfix ops against one slot-indexed Env (a flat vector
+// of intervals; entering a loop is one store). Per-loop facts (pipe
+// sets, enumerated loops) were also computed at lowering time.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
 
+#include "analysis/interval.hpp"
 #include "analysis/ir/ir.hpp"
 #include "support/diagnostics.hpp"
 
@@ -49,6 +57,10 @@ struct IrContext {
   std::array<std::int64_t, 3> region_extents{1, 1, 1};
   std::int64_t fused_iterations = 1;  ///< h: pass depth the host requests
   std::int64_t iterations = 1;        ///< total time steps of the program
+  /// Per dimension: how far from either end of the sweep a bound can be
+  /// clamped (analysis::clamp_reach); widens the origin samples.
+  std::array<std::int64_t, 3> clamp_reach{0, 0, 0};
+  Sampling sampling = Sampling::kVertices;
 
   std::int64_t grid_cells() const {
     std::int64_t cells = 1;
@@ -61,9 +73,19 @@ struct IrContext {
 IrContext make_ir_context(const scl::stencil::StencilProgram& program,
                           const scl::sim::DesignConfig& config);
 
-/// Runs every SCL4xx check over a lowered module.
+/// Deterministic work counters of one analyze_module call (bench rows
+/// only; never serialized into artifacts). Counts accumulate.
+struct DataflowStats {
+  std::int64_t environments = 0;  ///< sampled (r0, r1, r2, pass_h) tuples
+  std::int64_t walks = 0;         ///< kernel-body walks (index, token count)
+  std::int64_t expressions = 0;   ///< expression evaluations
+};
+
+/// Runs every SCL4xx check over a lowered module; adds its work to
+/// `stats` when given.
 void analyze_module(const Module& module, const IrContext& ctx,
-                    support::DiagnosticEngine* diags);
+                    support::DiagnosticEngine* diags,
+                    DataflowStats* stats = nullptr);
 
 /// Convenience: lower `source` and analyze it. A lowering failure
 /// (structurally broken text) is reported as an SCL409 error rather than

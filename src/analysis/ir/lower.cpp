@@ -1,8 +1,10 @@
 #include "analysis/ir/lower.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <map>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "frontend/lexer.hpp"
@@ -16,24 +18,33 @@ using scl::frontend::TokenKind;
 
 namespace {
 
-constexpr int kMaxMacroDepth = 16;
-
+/// One `#define`. The body stays as tokens until its first use, which
+/// compiles it to an expression template (kParam ops stand for the
+/// parameters); every later use splices the compiled ops.
 struct Macro {
+  enum class State { kRaw, kCompiling, kCompiled };
+
   bool function_like = false;
   std::vector<std::string> params;
   std::vector<Token> body;
+  State state = State::kRaw;
+  Expr expansion;
 };
 
-using MacroTable = std::map<std::string, Macro, std::less<>>;
+using MacroTable = std::unordered_map<std::string, Macro>;
 
 /// The frontend lexer strips preprocessor lines, so macro definitions are
 /// collected from the raw text first. The emitter only produces
 /// single-line `#define NAME[(params)] body` forms.
 MacroTable collect_macros(const std::string& source) {
   MacroTable macros;
-  int line_no = 0;
-  for (const std::string& raw : split(source, '\n')) {
-    ++line_no;
+  for (std::size_t start = 0; start < source.size();) {
+    std::size_t end = source.find('\n', start);
+    if (end == std::string::npos) end = source.size();
+    const std::string_view raw(source.data() + start, end - start);
+    start = end + 1;
+    const std::size_t first = raw.find_first_not_of(" \t\r\f\v");
+    if (first == std::string_view::npos || raw[first] != '#') continue;
     const std::string line = trim(raw);
     if (!starts_with(line, "#define ")) continue;
     std::size_t pos = 8;
@@ -69,89 +80,19 @@ MacroTable collect_macros(const std::string& source) {
     if (!macro.body.empty() && macro.body.back().kind == TokenKind::kEnd) {
       macro.body.pop_back();
     }
-    for (Token& t : macro.body) t.line = line_no;
     macros.emplace(std::move(name), std::move(macro));
   }
   return macros;
 }
 
-/// Fully macro-expands a token stream. Substituted tokens inherit the
-/// use-site line so diagnostics point at the access, not the #define.
-std::vector<Token> expand(const std::vector<Token>& in,
-                          const MacroTable& macros, int depth) {
-  if (depth > kMaxMacroDepth) {
-    throw Error("macro expansion exceeds depth limit (recursive #define?)");
-  }
-  std::vector<Token> out;
-  out.reserve(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const Token& tok = in[i];
-    if (tok.kind != TokenKind::kIdentifier) {
-      out.push_back(tok);
-      continue;
-    }
-    const auto it = macros.find(tok.text);
-    if (it == macros.end()) {
-      out.push_back(tok);
-      continue;
-    }
-    const Macro& macro = it->second;
-    std::vector<Token> body;
-    if (macro.function_like) {
-      if (i + 1 >= in.size() || !in[i + 1].is("(")) {
-        out.push_back(tok);  // name without call: leave verbatim
-        continue;
-      }
-      // Collect comma-separated argument token lists at depth 1.
-      std::vector<std::vector<Token>> args(1);
-      std::size_t j = i + 2;
-      int nesting = 1;
-      for (; j < in.size(); ++j) {
-        if (in[j].is("(")) ++nesting;
-        if (in[j].is(")")) {
-          if (--nesting == 0) break;
-        }
-        if (in[j].is(",") && nesting == 1) {
-          args.emplace_back();
-          continue;
-        }
-        args.back().push_back(in[j]);
-      }
-      if (nesting != 0) {
-        throw Error(str_cat("unterminated macro call '", tok.text,
-                            "' at line ", tok.line));
-      }
-      if (args.size() != macro.params.size()) {
-        throw Error(str_cat("macro '", tok.text, "' expects ",
-                            macro.params.size(), " argument(s), got ",
-                            args.size(), " at line ", tok.line));
-      }
-      for (const Token& bt : macro.body) {
-        bool substituted = false;
-        if (bt.kind == TokenKind::kIdentifier) {
-          for (std::size_t p = 0; p < macro.params.size(); ++p) {
-            if (bt.text == macro.params[p]) {
-              body.insert(body.end(), args[p].begin(), args[p].end());
-              substituted = true;
-              break;
-            }
-          }
-        }
-        if (!substituted) body.push_back(bt);
-      }
-      i = j;  // past the closing ')'
-    } else {
-      body = macro.body;
-    }
-    std::vector<Token> expanded = expand(body, macros, depth + 1);
-    for (Token& t : expanded) t.line = tok.line;
-    out.insert(out.end(), std::make_move_iterator(expanded.begin()),
-               std::make_move_iterator(expanded.end()));
-  }
-  return out;
+/// True when `tok` is the one-character punctuator `c`: the parser's hot
+/// path, cheaper than a string compare.
+bool is_punct(const Token& tok, char c) {
+  return tok.kind == TokenKind::kPunct && tok.text.size() == 1 &&
+         tok.text[0] == c;
 }
 
-/// Cursor over the expanded token stream with the small helpers every
+/// Cursor over a token stream with the small helpers every
 /// recursive-descent parser wants.
 class Cursor {
  public:
@@ -215,102 +156,265 @@ std::int64_t parse_int_literal(const Token& tok) {
   return std::strtoll(tok.text.c_str(), nullptr, 10);
 }
 
-/// Integer expression parser (the emitted index/bound language):
+/// Integer expression parser (the emitted index/bound language), emitting
+/// postfix ops:
 ///   expr   := term (('+' | '-') term)*
 ///   term   := factor (('*' | '/' | '%') factor)*
-///   factor := INT | IDENT | '-' factor | '(' expr ')' | '(' 'long' ')' factor
+///   factor := INT | IDENT | MACRO | MACRO '(' expr (',' expr)* ')'
+///           | '-' factor | '(' expr ')' | '(' 'long' ')' factor
 ///           | ('max' | 'min') '(' expr ',' expr ')'
-Expr parse_expr(Cursor& cur);
+/// Identifiers resolve to slots here, once. A macro use splices the
+/// macro's compiled expansion, so each `#define` is parsed once however
+/// often the kernels use it.
+class ExprParser {
+ public:
+  /// `slots` receives every variable name. Without one the language is
+  /// restricted to the fixed slots (pass 2's bound strings) and any other
+  /// name is an error. `macros` may be null (no macros).
+  ExprParser(MacroTable* macros, SlotTable* slots)
+      : macros_(macros), slots_(slots) {}
 
-Expr parse_factor(Cursor& cur) {
-  const Token& tok = cur.peek();
-  if (tok.is("-")) {
-    cur.next();
-    return Expr::make(Expr::Kind::kNeg, {parse_factor(cur)});
+  Expr parse(Cursor& cur) {
+    ops_.clear();
+    expr(cur);
+    Expr e;
+    e.ops.assign(ops_.begin(), ops_.end());  // one exact allocation
+    return e;
   }
-  if (tok.is("(")) {
-    // `(long)<factor>`: the emitter widens the flat global index to
-    // 64-bit device arithmetic (see codegen's GIDX macro).
-    if (cur.peek(1).is("long") && cur.peek(2).is(")")) {
+
+ private:
+  void expr(Cursor& cur) {
+    term(cur);
+    for (;;) {
+      Expr::Kind kind;
+      if (is_punct(cur.peek(), '+')) {
+        kind = Expr::Kind::kAdd;
+      } else if (is_punct(cur.peek(), '-')) {
+        kind = Expr::Kind::kSub;
+      } else {
+        return;
+      }
       cur.next();
-      cur.next();
-      cur.next();
-      return Expr::make(Expr::Kind::kCast64, {parse_factor(cur)});
+      term(cur);
+      ops_.push_back({kind, 0, 0});
     }
-    cur.next();
-    Expr inner = parse_expr(cur);
-    cur.expect(")");
-    return inner;
   }
-  if (tok.kind == TokenKind::kNumber) {
-    cur.next();
-    return Expr::literal(parse_int_literal(tok));
+
+  void term(Cursor& cur) {
+    factor(cur);
+    for (;;) {
+      Expr::Kind kind;
+      if (is_punct(cur.peek(), '*')) {
+        kind = Expr::Kind::kMul;
+      } else if (is_punct(cur.peek(), '/')) {
+        kind = Expr::Kind::kDiv;
+      } else if (is_punct(cur.peek(), '%')) {
+        kind = Expr::Kind::kMod;
+      } else {
+        return;
+      }
+      cur.next();
+      factor(cur);
+      ops_.push_back({kind, 0, 0});
+    }
   }
-  if (tok.kind == TokenKind::kIdentifier) {
-    cur.next();
+
+  void factor(Cursor& cur) {
+    const Token& tok = cur.peek();
+    if (is_punct(tok, '-')) {
+      cur.next();
+      factor(cur);
+      ops_.push_back({Expr::Kind::kNeg, 0, 0});
+      return;
+    }
+    if (is_punct(tok, '(')) {
+      // `(long)<factor>`: the emitter widens the flat global index to
+      // 64-bit device arithmetic (see codegen's GIDX macro).
+      if (cur.peek(1).is("long") && is_punct(cur.peek(2), ')')) {
+        cur.next();
+        cur.next();
+        cur.next();
+        factor(cur);
+        ops_.push_back({Expr::Kind::kCast64, 0, 0});
+        return;
+      }
+      cur.next();
+      expr(cur);
+      cur.expect(")");
+      return;
+    }
+    if (tok.kind == TokenKind::kNumber) {
+      cur.next();
+      ops_.push_back({Expr::Kind::kLiteral, 0, parse_int_literal(tok)});
+      return;
+    }
+    if (tok.kind == TokenKind::kIdentifier) {
+      cur.next();
+      identifier(tok, cur);
+      return;
+    }
+    throw Error(str_cat("unexpected token '", tok.text,
+                        "' in integer expression at line ", tok.line));
+  }
+
+  void identifier(const Token& tok, Cursor& cur) {
+    if (params_ != nullptr) {
+      for (std::size_t p = 0; p < params_->size(); ++p) {
+        if (tok.text == (*params_)[p]) {
+          ops_.push_back({Expr::Kind::kParam, static_cast<std::int32_t>(p), 0});
+          return;
+        }
+      }
+    }
+    if (macros_ != nullptr) {
+      const auto it = macros_->find(tok.text);
+      if (it != macros_->end()) {
+        Macro& macro = it->second;
+        if (!macro.function_like) {
+          const Expr& body = expansion(tok, macro);
+          ops_.insert(ops_.end(), body.ops.begin(), body.ops.end());
+          return;
+        }
+        if (cur.peek().is("(")) {
+          call(tok, macro, cur);
+          return;
+        }
+        // A function-like macro name without a call stays a plain name.
+      }
+    }
     if (tok.is("max") || tok.is("min")) {
       cur.expect("(");
-      Expr a = parse_expr(cur);
+      expr(cur);
       cur.expect(",");
-      Expr b = parse_expr(cur);
+      expr(cur);
       cur.expect(")");
-      return Expr::make(tok.is("max") ? Expr::Kind::kMax : Expr::Kind::kMin,
-                       {std::move(a), std::move(b)});
+      ops_.push_back(
+          {tok.is("max") ? Expr::Kind::kMax : Expr::Kind::kMin, 0, 0});
+      return;
     }
-    return Expr::var(tok.text);
+    const int slot = slots_ != nullptr ? slots_->intern(tok.text)
+                                       : SlotTable::fixed().find(tok.text);
+    if (slot < 0) throw Error(str_cat("unknown variable '", tok.text, "'"));
+    ops_.push_back({Expr::Kind::kVar, slot, 0});
   }
-  throw Error(str_cat("unexpected token '", tok.text,
-                      "' in integer expression at line ", tok.line));
-}
 
-Expr parse_term(Cursor& cur) {
-  Expr value = parse_factor(cur);
-  for (;;) {
-    Expr::Kind kind;
-    if (cur.peek().is("*")) {
-      kind = Expr::Kind::kMul;
-    } else if (cur.peek().is("/")) {
-      kind = Expr::Kind::kDiv;
-    } else if (cur.peek().is("%")) {
-      kind = Expr::Kind::kMod;
-    } else {
-      return value;
+  /// `NAME(arg, ...)`: parses the arguments onto the op buffer, then
+  /// replaces them with the macro's template instantiated on them.
+  void call(const Token& tok, Macro& macro, Cursor& cur) {
+    cur.expect("(");
+    const std::size_t args_begin = ops_.size();
+    const std::size_t ranges_begin = arg_ranges_.size();
+    try {
+      do {
+        const std::size_t begin = ops_.size();
+        expr(cur);
+        arg_ranges_.emplace_back(begin, ops_.size());
+      } while (cur.consume(","));
+      cur.expect(")");
+    } catch (const Error&) {
+      if (!cur.at_end()) throw;
+      throw Error(str_cat("unterminated macro call '", tok.text,
+                          "' at line ", tok.line));
     }
-    cur.next();
-    value = Expr::make(kind, {std::move(value), parse_factor(cur)});
+    const std::size_t args = arg_ranges_.size() - ranges_begin;
+    if (args != macro.params.size()) {
+      throw Error(str_cat("macro '", tok.text, "' expects ",
+                          macro.params.size(), " argument(s), got ", args,
+                          " at line ", tok.line));
+    }
+    const Expr& body = expansion(tok, macro);
+    instance_.clear();
+    for (const Expr::Op& op : body.ops) {
+      if (op.kind == Expr::Kind::kParam) {
+        const auto [begin, end] =
+            arg_ranges_[ranges_begin + static_cast<std::size_t>(op.slot)];
+        instance_.insert(instance_.end(),
+                         ops_.begin() + static_cast<std::ptrdiff_t>(begin),
+                         ops_.begin() + static_cast<std::ptrdiff_t>(end));
+      } else {
+        instance_.push_back(op);
+      }
+    }
+    arg_ranges_.resize(ranges_begin);
+    ops_.resize(args_begin);
+    ops_.insert(ops_.end(), instance_.begin(), instance_.end());
   }
-}
 
-Expr parse_expr(Cursor& cur) {
-  Expr value = parse_term(cur);
-  for (;;) {
-    if (cur.peek().is("+")) {
-      cur.next();
-      value =
-          Expr::make(Expr::Kind::kAdd, {std::move(value), parse_term(cur)});
-    } else if (cur.peek().is("-")) {
-      cur.next();
-      value =
-          Expr::make(Expr::Kind::kSub, {std::move(value), parse_term(cur)});
-    } else {
-      return value;
+  /// Compiles `macro`'s body on first use. Splicing compiled ops equals
+  /// textual expansion only when the body is one factor and every
+  /// parameter sits alone between delimiters, as in `((i0) - K0_B0_LO)`:
+  /// then no operator precedence can reach into or out of a
+  /// substitution. The emitter writes its macros that way; anything else
+  /// is outside the modeled subset.
+  const Expr& expansion(const Token& use, Macro& macro) {
+    if (macro.state == Macro::State::kCompiled) return macro.expansion;
+    if (macro.state == Macro::State::kCompiling) {
+      throw Error("macro expansion exceeds depth limit (recursive #define?)");
     }
+    macro.state = Macro::State::kCompiling;
+    const auto delimits = [&](std::size_t i, const char* a, const char* b) {
+      return i < macro.body.size() &&
+             (macro.body[i].is(a) || macro.body[i].is(b));
+    };
+    for (std::size_t i = 0; i < macro.body.size(); ++i) {
+      Token& t = macro.body[i];
+      t.line = use.line;  // diagnostics point at the use, not the #define
+      const bool is_param =
+          t.kind == TokenKind::kIdentifier &&
+          std::find(macro.params.begin(), macro.params.end(), t.text) !=
+              macro.params.end();
+      if (is_param && (i == 0 || !delimits(i - 1, "(", ",") ||
+                       !delimits(i + 1, ")", ","))) {
+        throw Error(str_cat("macro '", use.text, "' uses parameter '", t.text,
+                            "' without parentheses at line ", use.line));
+      }
+    }
+    // Compile on the tail of the op buffer, then move the ops out.
+    Cursor body(&macro.body);
+    const std::vector<std::string>* outer = params_;
+    params_ = &macro.params;
+    const std::size_t begin = ops_.size();
+    factor(body);
+    params_ = outer;
+    if (!body.at_end()) {
+      throw Error(str_cat("macro '", use.text,
+                          "' does not expand to a self-contained expression "
+                          "at line ",
+                          use.line));
+    }
+    macro.expansion.ops.assign(
+        ops_.begin() + static_cast<std::ptrdiff_t>(begin), ops_.end());
+    ops_.resize(begin);
+    macro.state = Macro::State::kCompiled;
+    return macro.expansion;
   }
-}
+
+  MacroTable* macros_;
+  SlotTable* slots_;
+  /// Parameters of the function-like macro being compiled, if any.
+  const std::vector<std::string>* params_ = nullptr;
+  /// Postfix output; nested parses (macro arguments and bodies) work on
+  /// its tail, so one buffer serves every expression.
+  std::vector<Expr::Op> ops_;
+  /// [begin, end) op ranges of the macro arguments being collected.
+  std::vector<std::pair<std::size_t, std::size_t>> arg_ranges_;
+  /// Scratch for one macro instantiation.
+  std::vector<Expr::Op> instance_;
+};
 
 /// Scans right-hand-side tokens up to the terminating ';', collecting
 /// every `array[index]` element read. Float arithmetic between the reads
 /// is irrelevant to the dataflow checks and is skipped.
-std::vector<ArrayRef> scan_loads(Cursor& cur) {
+std::vector<ArrayRef> scan_loads(Cursor& cur, ExprParser& exprs) {
   std::vector<ArrayRef> loads;
-  while (!cur.at_end() && !cur.peek().is(";")) {
+  while (!cur.at_end() && !is_punct(cur.peek(), ';')) {
     const Token& tok = cur.next();
-    if (tok.kind == TokenKind::kIdentifier && cur.peek().is("[")) {
+    if (tok.kind == TokenKind::kIdentifier && is_punct(cur.peek(), '[')) {
       cur.next();  // '['
       ArrayRef ref;
       ref.array = tok.text;
       ref.line = tok.line;
-      ref.index = parse_expr(cur);
+      ref.index = exprs.parse(cur);
       cur.expect("]");
       loads.push_back(std::move(ref));
     }
@@ -321,7 +425,8 @@ std::vector<ArrayRef> scan_loads(Cursor& cur) {
 
 class KernelParser {
  public:
-  KernelParser(Cursor& cur, Module* module) : cur_(cur), module_(module) {}
+  KernelParser(Cursor& cur, ExprParser& exprs, Module* module)
+      : cur_(cur), exprs_(exprs), module_(module) {}
 
   Stmt parse_statement() {
     const Token& tok = cur_.peek();
@@ -363,8 +468,9 @@ class KernelParser {
     cur_.expect("(");
     cur_.expect("int");
     stmt.var = cur_.next().text;
+    stmt.var_slot = module_->slots.intern(stmt.var);
     cur_.expect("=");
-    stmt.lo = parse_expr(cur_);
+    stmt.lo = exprs_.parse(cur_);
     cur_.expect(";");
     const std::string cond_var = cur_.next().text;
     if (cur_.consume("<")) {
@@ -375,7 +481,7 @@ class KernelParser {
       throw Error(str_cat("unsupported loop condition on '", cond_var,
                           "' at line ", stmt.line));
     }
-    stmt.hi = parse_expr(cur_);
+    stmt.hi = exprs_.parse(cur_);
     cur_.expect(";");
     // `++var` or `var++`.
     cur_.consume("+");
@@ -422,7 +528,7 @@ class KernelParser {
     cur_.next();  // carrier name
     if (cur_.consume(";")) return stmt;
     if (cur_.consume("=")) {
-      stmt.loads = scan_loads(cur_);
+      stmt.loads = scan_loads(cur_, exprs_);
       return stmt;
     }
     stmt.kind = Stmt::Kind::kOpaque;
@@ -441,15 +547,16 @@ class KernelParser {
     ref.array = target.text;
     ref.line = target.line;
     cur_.expect("[");
-    ref.index = parse_expr(cur_);
+    ref.index = exprs_.parse(cur_);
     cur_.expect("]");
     stmt.store = std::move(ref);
     cur_.expect("=");
-    stmt.loads = scan_loads(cur_);
+    stmt.loads = scan_loads(cur_, exprs_);
     return stmt;
   }
 
   Cursor& cur_;
+  ExprParser& exprs_;
   Module* module_;
 };
 
@@ -476,7 +583,7 @@ void parse_kernel_params(Cursor& cur, Kernel* kernel) {
   }
 }
 
-Kernel parse_kernel(Cursor& cur, Module* module) {
+Kernel parse_kernel(Cursor& cur, ExprParser& exprs, Module* module) {
   Kernel kernel;
   kernel.line = cur.peek().line;
   cur.expect("__kernel");
@@ -485,7 +592,7 @@ Kernel parse_kernel(Cursor& cur, Module* module) {
   kernel.name = cur.next().text;
   parse_kernel_params(cur, &kernel);
   cur.expect("{");
-  KernelParser parser(cur, module);
+  KernelParser parser(cur, exprs, module);
   while (!cur.consume("}")) {
     if (cur.at_end()) {
       throw Error(str_cat("kernel '", kernel.name, "' never closes"));
@@ -498,7 +605,7 @@ Kernel parse_kernel(Cursor& cur, Module* module) {
       buffer.name = cur.next().text;
       buffer.line = cur.peek().line;
       cur.expect("[");
-      buffer.size = parse_expr(cur);
+      buffer.size = exprs.parse(cur);
       cur.expect("]");
       cur.consume(";");
       kernel.locals.push_back(std::move(buffer));
@@ -509,15 +616,91 @@ Kernel parse_kernel(Cursor& cur, Module* module) {
   return kernel;
 }
 
+int index_of(const std::vector<std::string>& names, const std::string& name) {
+  const auto it = std::find(names.begin(), names.end(), name);
+  return it == names.end() ? -1 : static_cast<int>(it - names.begin());
+}
+
+/// Index of the item called `name` (Buffer, PipeChannel), or -1.
+template <typename T>
+int index_by_name(const std::vector<T>& items, const std::string& name) {
+  const auto it = std::find_if(items.begin(), items.end(), [&](const T& item) {
+    return item.name == name;
+  });
+  return it == items.end() ? -1 : static_cast<int>(it - items.begin());
+}
+
+/// Resolves names to indices and computes the per-loop facts the
+/// dataflow walks need, once, so no walk re-derives them.
+class Resolver {
+ public:
+  Resolver(const Module& module, Kernel* kernel)
+      : module_(module), kernel_(kernel) {}
+
+  /// Resolves `stmts`; returns the slots their loop bounds (at any depth)
+  /// read, as a per-slot flag vector.
+  std::vector<char> resolve(StmtList& stmts) {
+    std::vector<char> bound_slots(module_.slots.size(), 0);
+    for (Stmt& stmt : stmts) {
+      if (stmt.store.has_value()) resolve(*stmt.store);
+      for (ArrayRef& load : stmt.loads) resolve(load);
+      if (stmt.kind == Stmt::Kind::kPipeRead ||
+          stmt.kind == Stmt::Kind::kPipeWrite) {
+        stmt.pipe_index = index_by_name(module_.pipes, stmt.pipe);
+      }
+      if (stmt.kind != Stmt::Kind::kLoop) continue;
+      stmt.loop_id = kernel_->loop_count++;
+      const std::vector<char> nested = resolve(stmt.body);
+      stmt.bounds_use_var =
+          nested[static_cast<std::size_t>(stmt.var_slot)] != 0;
+      for (const Stmt& inner : stmt.body) {
+        if (inner.kind == Stmt::Kind::kPipeRead ||
+            inner.kind == Stmt::Kind::kPipeWrite) {
+          stmt.has_pipe_op = true;
+          if (inner.pipe_index >= 0) stmt.pipes.push_back(inner.pipe_index);
+        }
+        if (inner.has_pipe_op) stmt.has_pipe_op = true;
+        stmt.pipes.insert(stmt.pipes.end(), inner.pipes.begin(),
+                          inner.pipes.end());
+      }
+      std::sort(stmt.pipes.begin(), stmt.pipes.end());
+      stmt.pipes.erase(std::unique(stmt.pipes.begin(), stmt.pipes.end()),
+                       stmt.pipes.end());
+      for (std::size_t slot = 0; slot < bound_slots.size(); ++slot) {
+        bound_slots[slot] |= nested[slot];
+      }
+      for (const Expr* bound : {&stmt.lo, &stmt.hi}) {
+        for (const Expr::Op& op : bound->ops) {
+          if (op.kind == Expr::Kind::kVar) {
+            bound_slots[static_cast<std::size_t>(op.slot)] = 1;
+          }
+        }
+      }
+    }
+    return bound_slots;
+  }
+
+ private:
+  void resolve(ArrayRef& ref) {
+    ref.local = index_by_name(kernel_->locals, ref.array);
+    ref.output = index_of(kernel_->global_outputs, ref.array);
+    ref.global =
+        ref.output >= 0 || index_of(kernel_->global_inputs, ref.array) >= 0;
+  }
+
+  const Module& module_;
+  Kernel* kernel_;
+};
+
 }  // namespace
 
 Module lower_kernel_source(const std::string& source) {
-  const MacroTable macros = collect_macros(source);
-  const std::vector<Token> raw = scl::frontend::tokenize(source);
-  const std::vector<Token> tokens = expand(raw, macros, 0);
+  MacroTable macros = collect_macros(source);
+  const std::vector<Token> tokens = scl::frontend::tokenize(source);
   Cursor cur(&tokens);
 
   Module module;
+  ExprParser exprs(&macros, &module.slots);
   while (!cur.at_end()) {
     const Token& tok = cur.peek();
     if (tok.is("pipe")) {
@@ -542,14 +725,33 @@ Module lower_kernel_source(const std::string& source) {
       continue;
     }
     if (tok.is("__kernel")) {
-      module.kernels.push_back(parse_kernel(cur, &module));
+      module.kernels.push_back(parse_kernel(cur, exprs, &module));
       continue;
     }
     module.unmodeled.push_back(str_cat("top-level construct '", tok.text,
                                        "' at line ", tok.line));
     cur.skip_statement();
   }
+  for (Kernel& kernel : module.kernels) {
+    Resolver(module, &kernel).resolve(kernel.body);
+  }
   return module;
+}
+
+Expr parse_bound_expr(std::string_view text) {
+  try {
+    const std::vector<Token> tokens =
+        scl::frontend::tokenize(std::string(text));
+    Cursor cur(&tokens);
+    Expr expr = ExprParser(nullptr, nullptr).parse(cur);
+    if (!cur.at_end()) {
+      throw Error(str_cat("trailing input '", cur.peek().text, "'"));
+    }
+    return expr;
+  } catch (const Error& e) {
+    throw Error(
+        str_cat("cannot parse bound expression '", text, "': ", e.what()));
+  }
 }
 
 }  // namespace scl::analysis::ir

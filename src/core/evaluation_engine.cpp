@@ -1,7 +1,6 @@
 #include "core/evaluation_engine.hpp"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "analysis/analyzer.hpp"
 #include "codegen/opencl_emitter.hpp"
@@ -49,35 +48,6 @@ support::obs::Histogram& batch_histogram() {
   return histogram;
 }
 
-/// Test-only brake for the CI perf gate: when the
-/// SCL_DSE_SYNTHETIC_SLOWDOWN_NS environment variable is set, every
-/// uncached evaluation busy-waits that many nanoseconds. Results are
-/// unchanged (evaluation stays pure); only throughput drops, which is
-/// exactly what scripts/perf_gate.py must detect.
-std::int64_t synthetic_slowdown_ns() {
-  static const std::int64_t ns = [] {
-    const char* env = std::getenv("SCL_DSE_SYNTHETIC_SLOWDOWN_NS");
-    if (env == nullptr) return std::int64_t{0};
-    char* end = nullptr;
-    const long long parsed = std::strtoll(env, &end, 10);
-    return (end != env && *end == '\0' && parsed > 0)
-               ? static_cast<std::int64_t>(parsed)
-               : std::int64_t{0};
-  }();
-  return ns;
-}
-
-void apply_synthetic_slowdown() {
-  const std::int64_t ns = synthetic_slowdown_ns();
-  if (ns <= 0) return;
-  // Busy-wait: sleep granularity is far coarser than the ~µs-scale
-  // per-candidate cost this knob needs to inflate.
-  const auto until =
-      std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < until) {
-  }
-}
-
 DesignPoint to_point(const DesignConfig& config,
                      const CachedEvaluation& eval) {
   DesignPoint point;
@@ -118,7 +88,6 @@ CachedEvaluation EvaluationEngine::compute(const DesignConfig& config) const {
   // shares a read-only instance.
   const auto slot = static_cast<std::size_t>(ThreadPool::worker_slot()) %
                     perf_models_.size();
-  apply_synthetic_slowdown();
   CachedEvaluation eval;
   eval.prediction = perf_models_[slot].predict(config);
   eval.resources =

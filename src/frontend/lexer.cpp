@@ -9,6 +9,7 @@ namespace scl::frontend {
 
 std::vector<Token> tokenize(const std::string& source) {
   std::vector<Token> out;
+  out.reserve(source.size() / 2);  // emitted OpenCL averages ~3 bytes/token
   std::size_t i = 0;
   int line = 1;
   const std::size_t n = source.size();
@@ -47,44 +48,34 @@ std::vector<Token> tokenize(const std::string& source) {
       continue;
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      Token t;
-      t.kind = TokenKind::kIdentifier;
-      t.line = line;
+      const std::size_t start = i;
       while (i < n && (std::isalnum(static_cast<unsigned char>(source[i])) ||
                        source[i] == '_')) {
-        t.text.push_back(source[i++]);
+        ++i;
       }
-      out.push_back(std::move(t));
+      out.push_back(
+          Token{TokenKind::kIdentifier, source.substr(start, i - start), line});
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(c)) ||
         (c == '.' && std::isdigit(static_cast<unsigned char>(peek(1))))) {
-      Token t;
-      t.kind = TokenKind::kNumber;
-      t.line = line;
-      bool seen_exp = false;
+      const std::size_t start = i;
       while (i < n) {
         const char d = source[i];
         if (std::isdigit(static_cast<unsigned char>(d)) || d == '.') {
-          t.text.push_back(d);
           ++i;
         } else if (d == 'e' || d == 'E') {
-          seen_exp = true;
-          t.text.push_back(d);
           ++i;
-          if (i < n && (source[i] == '+' || source[i] == '-')) {
-            t.text.push_back(source[i++]);
-          }
+          if (i < n && (source[i] == '+' || source[i] == '-')) ++i;
         } else if (d == 'f' || d == 'F') {
-          t.text.push_back(d);
           ++i;
           break;
         } else {
           break;
         }
       }
-      (void)seen_exp;
-      out.push_back(std::move(t));
+      out.push_back(
+          Token{TokenKind::kNumber, source.substr(start, i - start), line});
       continue;
     }
     // Two-character operators the guard expressions use.

@@ -1,14 +1,17 @@
-// Tests for the design verifier: the diagnostics engine, the interval
-// evaluator, golden diagnostics on seeded broken designs, and the
+// Tests for the design verifier: the diagnostics engine, the bound
+// expression evaluator, golden diagnostics on seeded broken designs, and the
 // clean-design guarantee over every bundled benchmark.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/interval.hpp"
+#include "analysis/ir/ir.hpp"
+#include "analysis/ir/lower.hpp"
 #include "core/resource_estimator.hpp"
 #include "core/verify.hpp"
 #include "fpga/device.hpp"
@@ -104,31 +107,47 @@ TEST(DiagnosticsTest, MergePreservesOrder) {
   EXPECT_EQ(a.diagnostics()[1].code, "SCL104");
 }
 
-// --- interval evaluator -----------------------------------------------------
+// --- bound expressions ------------------------------------------------------
+//
+// Pass 2 compiles boundary_gen's strings with the kernel-IR parser and
+// evaluates them over a slot environment; the fused-iteration distance
+// `pass_h - it` is evaluated as pass_h = dt, it = 0.
+
+ir::Env bound_env() {
+  ir::Env env(ir::SlotTable::fixed());
+  for (int slot = 0; slot < ir::kFixedSlotCount; ++slot) {
+    env[slot] = Interval::point(0);
+  }
+  return env;
+}
+
+Interval eval_bound(const std::string& text, const ir::Env& env) {
+  return ir::eval_expr(ir::parse_bound_expr(text), env);
+}
 
 TEST(IntervalTest, EvaluatesAffineClampExpressions) {
-  IntervalEnv env;
-  env["r0"] = Interval::point(128);
-  env["dt"] = Interval::point(3);
-  EXPECT_EQ(eval_bound_expr("max(0, r0 - 2 * dt)", env),
+  ir::Env env = bound_env();
+  env[ir::kSlotR0] = Interval::point(128);
+  env[ir::kSlotPassH] = Interval::point(3);  // dt = pass_h - it = 3
+  EXPECT_EQ(eval_bound("max(0, r0 - 2 * (pass_h - it))", env),
             Interval::point(122));
-  EXPECT_EQ(eval_bound_expr("min(256, (r0 + 32) + 1 * dt)", env),
+  EXPECT_EQ(eval_bound("min(256, (r0 + 32) + 1 * (pass_h - it))", env),
             Interval::point(163));
-  EXPECT_EQ(eval_bound_expr("-3 + r0", env), Interval::point(125));
+  EXPECT_EQ(eval_bound("-3 + r0", env), Interval::point(125));
 }
 
 TEST(IntervalTest, WideIntervalsPropagate) {
-  IntervalEnv env;
-  env["x"] = Interval{0, 10};
-  EXPECT_EQ(eval_bound_expr("2 * x + 1", env), (Interval{1, 21}));
-  EXPECT_EQ(eval_bound_expr("max(5, x)", env), (Interval{5, 10}));
+  ir::Env env = bound_env();
+  env[ir::kSlotR1] = Interval{0, 10};
+  EXPECT_EQ(eval_bound("2 * r1 + 1", env), (Interval{1, 21}));
+  EXPECT_EQ(eval_bound("max(5, r1)", env), (Interval{5, 10}));
 }
 
 TEST(IntervalTest, RejectsUnknownVariableAndSyntaxErrors) {
-  IntervalEnv env;
-  EXPECT_THROW(eval_bound_expr("mystery + 1", env), Error);
-  EXPECT_THROW(eval_bound_expr("max(1,", env), Error);
-  EXPECT_THROW(eval_bound_expr("1 ? 2 : 3", env), Error);
+  EXPECT_THROW(ir::parse_bound_expr("mystery + 1"), Error);
+  EXPECT_THROW(ir::parse_bound_expr("max(1,"), Error);
+  // Trailing tokens are rejected, not silently dropped.
+  EXPECT_THROW(ir::parse_bound_expr("1 ? 2 : 3"), Error);
 }
 
 // Analysis inputs are untrusted (seeded-defect tests feed absurd
@@ -155,14 +174,13 @@ TEST(IntervalTest, ArithmeticSaturatesAtInt64Edges) {
 }
 
 TEST(IntervalTest, OverlongLiteralSaturatesInsteadOfWrapping) {
-  IntervalEnv env;
+  const ir::Env env = bound_env();
   // 2^63 - 1 is the largest parseable value; one digit more must clamp,
   // not wrap negative.
-  const Interval v =
-      eval_bound_expr("99999999999999999999999", env);
+  const Interval v = eval_bound("99999999999999999999999", env);
   EXPECT_EQ(v, Interval::point(std::numeric_limits<std::int64_t>::max()));
-  const Interval product = eval_bound_expr(
-      "9223372036854775807 * 9223372036854775807", env);
+  const Interval product =
+      eval_bound("9223372036854775807 * 9223372036854775807", env);
   EXPECT_EQ(product,
             Interval::point(std::numeric_limits<std::int64_t>::max()));
 }
@@ -252,6 +270,55 @@ TEST(AnalyzerTest, UnparsableBoundDowngradesToWarning) {
   check_buffer_bounds(input, 0, bounds, &diags);
   EXPECT_TRUE(has_code(diags, "SCL209"));
   EXPECT_FALSE(diags.has_errors());
+}
+
+/// Every SCL209 message in `diags`, joined by newlines; fails the test
+/// when there is none.
+std::string scl209_messages(const DiagnosticEngine& diags) {
+  std::string messages;
+  for (const auto& diag : diags.diagnostics()) {
+    if (diag.code == "SCL209") messages += diag.message + "\n";
+  }
+  EXPECT_FALSE(messages.empty()) << diags.render_text();
+  return messages;
+}
+
+// SCL209 names the expression that failed, not a fixed side. (Stage
+// accesses report once per access and dimension that needs the bound.)
+TEST(AnalyzerTest, Scl209NamesTheUnparsableUpperBound) {
+  const AnalysisInput input = jacobi2d_input();
+  codegen::LoopBounds bounds = codegen::stage_compute_bounds(input.ctx, 0, 0);
+  bounds.hi[0] = "min((r0 + 32) +, 255)";
+  DiagnosticEngine diags;
+  check_stage_accesses(input, 0, 0, bounds, &diags);
+  const std::string message = scl209_messages(diags);
+  EXPECT_NE(message.find("'min((r0 + 32) +, 255)'"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find(bounds.lo[0]), std::string::npos) << message;
+  EXPECT_FALSE(diags.has_errors()) << diags.render_text();
+}
+
+TEST(AnalyzerTest, Scl209NamesTheUnparsableBufferBound) {
+  const AnalysisInput input = jacobi2d_input();
+  codegen::LoopBounds bounds = codegen::buffer_bounds(input.ctx, 0);
+  bounds.hi[1] = "min(r1 + 36, 256";  // unclosed clamp
+  DiagnosticEngine diags;
+  check_buffer_bounds(input, 0, bounds, &diags);
+  const std::string message = scl209_messages(diags);
+  EXPECT_NE(message.find("'min(r1 + 36, 256'"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find(bounds.lo[1]), std::string::npos) << message;
+}
+
+TEST(AnalyzerTest, Scl209NamesTheUnparsableOwnedLowerBound) {
+  const AnalysisInput input = jacobi2d_input();
+  codegen::LoopBounds bounds = codegen::owned_bounds(input.ctx, 0, 0);
+  bounds.lo[0] = "max(r0 + dt, 1)";  // `dt` is not a bound variable
+  DiagnosticEngine diags;
+  check_owned_bounds(input, 0, 0, bounds, &diags);
+  const std::string message = scl209_messages(diags);
+  EXPECT_NE(message.find("'max(r0 + dt, 1)'"), std::string::npos) << message;
+  EXPECT_EQ(message.find(bounds.hi[0]), std::string::npos) << message;
 }
 
 TEST(AnalyzerTest, OwnedWriteOutsideUpdatableRegionIsReported) {

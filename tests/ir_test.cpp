@@ -126,11 +126,11 @@ TEST(IrLowerTest, ExpandsFunctionLikeMacrosAtUseSite) {
   const Module module = lower_kernel_source(src);
   ASSERT_EQ(module.kernels.size(), 1u);
   const Kernel& k = module.kernels[0];
-  const Interval size = eval_expr(k.locals[0].size, IntervalEnv{});
+  Env env(module.slots);
+  const Interval size = eval_expr(k.locals[0].size, env);
   EXPECT_EQ(size, Interval::point(24));
   // buf[IDX(i)] with i = 3 must evaluate to 7 after expansion.
-  IntervalEnv env;
-  env["i"] = Interval::point(3);
+  env[module.slots.find("i")] = Interval::point(3);
   const Stmt& store = k.body[0].body[0];
   ASSERT_TRUE(store.store.has_value());
   EXPECT_EQ(eval_expr(store.store->index, env), Interval::point(7));
@@ -161,14 +161,16 @@ TEST(IrLowerTest, StructurallyBrokenSourceThrows) {
 // --- expression evaluation --------------------------------------------------
 
 TEST(IrExprTest, EvaluatesWithIntervalSemantics) {
-  IntervalEnv env;
-  env["it"] = Interval{1, 4};
   const Module module = lower_kernel_source(
       "__kernel void k(const int it) { __local float b[64]; "
-      "b[max(0, it * 3 - 2)] = 1.0f; }");
+      "b[max(0, it * 3 - 2)] = 1.0f; b[mystery] = 0.0f; }");
+  Env env(module.slots);
+  env[kSlotIt] = Interval{1, 4};
   const Stmt& store = module.kernels[0].body[0];
   EXPECT_EQ(eval_expr(store.store->index, env), (Interval{1, 10}));
-  EXPECT_THROW(eval_expr(Expr::var("mystery"), env), Error);
+  // An unbound slot is a variable out of scope: evaluation throws.
+  const Stmt& unknown = module.kernels[0].body[1];
+  EXPECT_THROW(eval_expr(unknown.store->index, env), Error);
 }
 
 TEST(IrExprTest, FlagsInt32OverflowWithoutSaturatingInt64) {
@@ -176,11 +178,12 @@ TEST(IrExprTest, FlagsInt32OverflowWithoutSaturatingInt64) {
       Expr::Kind::kMul,
       {Expr::literal(1'000'000'000), Expr::literal(1'000'000)});
   bool overflow = false;
-  const Interval v = eval_expr(big, IntervalEnv{}, &overflow);
+  const Env env(SlotTable::fixed());
+  const Interval v = eval_expr(big, env, &overflow);
   EXPECT_TRUE(overflow);
   EXPECT_EQ(v, Interval::point(1'000'000'000'000'000));
   overflow = false;
-  eval_expr(Expr::literal(1'000'000), IntervalEnv{}, &overflow);
+  eval_expr(Expr::literal(1'000'000), env, &overflow);
   EXPECT_FALSE(overflow);
 }
 
@@ -191,8 +194,9 @@ TEST(IrExprTest, Cast64WidensTheResultButNotTheOperands) {
       Expr::Kind::kMul,
       {Expr::make(Expr::Kind::kCast64, {Expr::literal(1'000'000'000)}),
        Expr::literal(1'000'000)});
+  const Env env(SlotTable::fixed());
   bool overflow = false;
-  EXPECT_EQ(eval_expr(widened, IntervalEnv{}, &overflow),
+  EXPECT_EQ(eval_expr(widened, env, &overflow),
             Interval::point(1'000'000'000'000'000));
   EXPECT_FALSE(overflow);
 
@@ -203,7 +207,7 @@ TEST(IrExprTest, Cast64WidensTheResultButNotTheOperands) {
       {Expr::make(Expr::Kind::kMul, {Expr::literal(1'000'000'000),
                                      Expr::literal(1'000'000)})});
   overflow = false;
-  eval_expr(inner_wraps, IntervalEnv{}, &overflow);
+  eval_expr(inner_wraps, env, &overflow);
   EXPECT_TRUE(overflow);
 }
 
