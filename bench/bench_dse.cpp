@@ -1,5 +1,5 @@
-// Design-space-exploration speed: searches/sec, candidates evaluated and
-// parallel speedup of the full DSE.
+// Design-space-exploration speed: searches/sec, candidates evaluated,
+// lower bounds computed and parallel speedup of the full DSE.
 //
 // For every benchmark of Table 2 at the paper's input scale, runs the
 // full DSE across both design families — the pipe-tiling searches
@@ -69,6 +69,7 @@ scl::core::DseStats diff(const scl::core::DseStats& after,
   scl::core::DseStats d = after;
   d.candidates_evaluated -= before.candidates_evaluated;
   d.candidates_pruned -= before.candidates_pruned;
+  d.candidates_bounded -= before.candidates_bounded;
   d.cache_hits -= before.cache_hits;
   d.cache_misses -= before.cache_misses;
   d.wall_seconds -= before.wall_seconds;
@@ -161,6 +162,7 @@ std::string json_row(const std::string& kernel, const char* mode,
       ",\"threads\":", stats.threads,
       ",\"candidates\":", stats.candidates_evaluated,
       ",\"pruned\":", stats.candidates_pruned,
+      ",\"bounded\":", stats.candidates_bounded,
       ",\"cache_hit_rate\":", scl::format_fixed(stats.cache_hit_rate(), 4),
       ",\"wall_seconds\":", scl::format_fixed(stats.wall_seconds, 4),
       ",\"searches_per_sec\":",
@@ -205,8 +207,8 @@ int main(int argc, char** argv) {
   std::cout << "hardware threads available: " << max_threads << "\n\n";
 
   scl::TableWriter table({"Benchmark", "Threads", "Mode", "Family",
-                          "Candidates", "Pruned", "Cache hits", "Wall (s)",
-                          "Searches/s", "Speedup"});
+                          "Candidates", "Pruned", "Bounded", "Cache hits",
+                          "Wall (s)", "Searches/s", "Speedup"});
   std::ofstream json(json_path.empty() ? "BENCH_dse.json" : json_path,
                      json_path.empty() ? std::ios::app : std::ios::trunc);
   bool deterministic = true;
@@ -286,6 +288,7 @@ int main(int argc, char** argv) {
             {info.name, std::to_string(threads), row.mode, row.family,
              std::to_string(stats.candidates_evaluated),
              std::to_string(stats.candidates_pruned),
+             std::to_string(stats.candidates_bounded),
              scl::str_cat(scl::format_fixed(100.0 * stats.cache_hit_rate(), 1),
                           "%"),
              scl::format_fixed(stats.wall_seconds, 3),
@@ -311,7 +314,8 @@ int main(int argc, char** argv) {
   // into the key and fails hard when a tagged row goes missing.
   std::cout << "==== HBM device leg: replicated design spaces ====\n\n";
   scl::TableWriter hbm_table({"Benchmark", "Device", "Family", "Candidates",
-                              "Pruned", "Wall (s)", "Searches/s", "Winner R"});
+                              "Pruned", "Bounded", "Wall (s)", "Searches/s",
+                              "Winner R"});
   for (const char* device_name : {"xcu280", "s10mx"}) {
     for (const scl::stencil::BenchmarkInfo& info :
          scl::stencil::paper_benchmarks()) {
@@ -354,6 +358,7 @@ int main(int argc, char** argv) {
             {info.name, device_name, row.family,
              std::to_string(stats.candidates_evaluated),
              std::to_string(stats.candidates_pruned),
+             std::to_string(stats.candidates_bounded),
              scl::format_fixed(stats.wall_seconds, 3),
              scl::format_fixed(searches_per_sec(stats), 1),
              std::to_string(row.replication)});

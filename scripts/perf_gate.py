@@ -18,6 +18,9 @@ metrics:
                                      thread count and on any host), so it
                                      is gated exactly: any growth fails
                                      until the baseline is refreshed
+                   bounded           the count of computed lower bounds
+                                     under the same key + "/bounded",
+                                     gated exactly like candidates
   bench=service  key (threads, mode)          metric warm_speedup
   bench=verify   key (kernel, device, layer)
                    runs_per_sec      1 / cpu_seconds, the min-of-5
@@ -140,10 +143,11 @@ def keyed_metrics(rows):
             if wall is not None and wall > 0.0:
                 metrics[key] = (
                     "searches_per_sec", 1.0 / wall, wall, pinned, False)
-            candidates = row.get("candidates")
-            if candidates is not None:
-                metrics[f"{key}/candidates"] = (
-                    "candidates", float(candidates), wall, pinned, True)
+            for counter in ("candidates", "bounded"):
+                value = row.get(counter)
+                if value is not None:
+                    metrics[f"{key}/{counter}"] = (
+                        counter, float(value), wall, pinned, True)
         elif bench == "verify":
             key = (f"verify/{row.get('kernel')}/{row.get('device')}/"
                    f"{row.get('layer')}")

@@ -139,14 +139,24 @@ class PointEnv {
   ir::Env env_;
 };
 
-/// Emits the "analysis incomplete" diagnostic for the bound that failed.
+/// Emits the "analysis incomplete" diagnostic for the bound that failed,
+/// once per (kernel, bound text): every access and dimension that needs
+/// the bound fails on it the same way.
 void report_unparsable(support::DiagnosticEngine* diags, int kernel,
                        const Failure& failure) {
-  support::Diagnostic& diag = diags->warning(
-      "SCL209", str_cat("loop bound '", failure.expr,
-                        "' is outside the affine bound language; interval "
-                        "analysis skipped it"));
-  diag.location = {"kernel", str_cat("stencil_k", kernel), -1};
+  std::string message =
+      str_cat("loop bound '", failure.expr,
+              "' is outside the affine bound language; interval analysis "
+              "skipped it");
+  std::string location = str_cat("stencil_k", kernel);
+  for (const support::Diagnostic& seen : diags->diagnostics()) {
+    if (seen.code == "SCL209" && seen.location.detail == location &&
+        seen.message == message) {
+      return;
+    }
+  }
+  support::Diagnostic& diag = diags->warning("SCL209", std::move(message));
+  diag.location = {"kernel", std::move(location), -1};
   diag.notes.push_back(failure.why);
 }
 

@@ -137,39 +137,60 @@ std::vector<std::array<std::int64_t, 3>> CandidateSpace::tile_shape_candidates()
   return out;
 }
 
-std::vector<CandidateChain> CandidateSpace::chains(DesignKind kind) const {
-  const auto replications = replication_factors();
-  const auto parallelisms = parallelism_candidates();
-  const auto tiles = tile_shape_candidates();
-  const auto fusions = fusion_candidates();
+std::int64_t CandidateAxes::group_size() const {
+  return static_cast<std::int64_t>(tiles.size() * depths.size());
+}
+
+std::int64_t CandidateAxes::size() const {
+  return static_cast<std::int64_t>(replications.size() *
+                                   parallelisms.size() * unrolls.size()) *
+         group_size();
+}
+
+DesignConfig CandidateAxes::config(std::int64_t index) const {
+  auto digit = [&index](std::size_t radix) {
+    const auto r = static_cast<std::int64_t>(radix);
+    const auto d = static_cast<std::size_t>(index % r);
+    index /= r;
+    return d;
+  };
+  DesignConfig config = prototype;
+  config.fused_iterations = depths[digit(depths.size())];
+  config.tile_size = tiles[digit(tiles.size())];
+  config.unroll = unrolls[digit(unrolls.size())];
+  config.parallelism = parallelisms[digit(parallelisms.size())];
+  config.replication = replications[digit(replications.size())];
+  return config;
+}
+
+std::vector<CandidateChain> CandidateAxes::chains() const {
+  const auto length = static_cast<std::int64_t>(depths.size());
   std::vector<CandidateChain> out;
-  out.reserve(replications.size() * parallelisms.size() *
-              options_->unroll_candidates.size() * tiles.size());
-  for (const int replication : replications) {
-    for (const auto& par : parallelisms) {
-      for (const int unroll : options_->unroll_candidates) {
-        for (const auto& tile : tiles) {
-          DesignConfig config;
-          config.kind = kind;
-          config.replication = replication;
-          config.unroll = unroll;
-          config.tile_size = tile;
-          for (int d = 0; d < program_->dims(); ++d) {
-            config.parallelism[static_cast<std::size_t>(d)] =
-                par[static_cast<std::size_t>(d)];
-          }
-          CandidateChain chain;
-          chain.configs.reserve(fusions.size());
-          for (const std::int64_t h : fusions) {
-            config.fused_iterations = h;
-            chain.configs.push_back(config);
-          }
-          out.push_back(std::move(chain));
-        }
-      }
+  out.reserve(static_cast<std::size_t>(size() / length));
+  for (std::int64_t first = 0; first < size(); first += length) {
+    CandidateChain chain;
+    chain.configs.reserve(depths.size());
+    for (std::int64_t j = 0; j < length; ++j) {
+      chain.configs.push_back(config(first + j));
     }
+    out.push_back(std::move(chain));
   }
   return out;
+}
+
+CandidateAxes CandidateSpace::axes(DesignKind kind) const {
+  CandidateAxes axes;
+  axes.prototype.kind = kind;
+  axes.replications = replication_factors();
+  axes.parallelisms = parallelism_candidates();
+  axes.unrolls = options_->unroll_candidates;
+  axes.tiles = tile_shape_candidates();
+  axes.depths = fusion_candidates();
+  return axes;
+}
+
+std::vector<CandidateChain> CandidateSpace::chains(DesignKind kind) const {
+  return axes(kind).chains();
 }
 
 std::vector<std::int64_t> CandidateSpace::strip_candidates() const {
@@ -190,38 +211,26 @@ std::vector<std::int64_t> CandidateSpace::temporal_degree_candidates() const {
   return out;
 }
 
-std::vector<CandidateChain> CandidateSpace::temporal_chains() const {
-  const auto replications = replication_factors();
-  const auto strips = strip_candidates();
-  const auto degrees = temporal_degree_candidates();
-  std::vector<CandidateChain> out;
-  out.reserve(replications.size() * options_->unroll_candidates.size() *
-              strips.size());
-  for (const int replication : replications) {
-    for (const int unroll : options_->unroll_candidates) {
-      for (const std::int64_t strip : strips) {
-        DesignConfig config;
-        config.family = arch::DesignFamily::kTemporalShift;
-        config.kind = DesignKind::kBaseline;
-        config.replication = replication;
-        config.unroll = unroll;
-        for (int d = 0; d < program_->dims(); ++d) {
-          config.tile_size[static_cast<std::size_t>(d)] =
-              program_->grid_box().extent(d);
-        }
-        config.tile_size[static_cast<std::size_t>(program_->dims() - 1)] =
-            strip;
-        CandidateChain chain;
-        chain.configs.reserve(degrees.size());
-        for (const std::int64_t t : degrees) {
-          config.fused_iterations = t;
-          chain.configs.push_back(config);
-        }
-        out.push_back(std::move(chain));
-      }
-    }
+CandidateAxes CandidateSpace::temporal_axes() const {
+  CandidateAxes axes;
+  axes.prototype.family = arch::DesignFamily::kTemporalShift;
+  axes.replications = replication_factors();
+  axes.parallelisms = {{1, 1, 1}};
+  axes.unrolls = options_->unroll_candidates;
+  std::array<std::int64_t, 3> shape{1, 1, 1};
+  for (int d = 0; d < program_->dims(); ++d) {
+    shape[static_cast<std::size_t>(d)] = program_->grid_box().extent(d);
   }
-  return out;
+  for (const std::int64_t strip : strip_candidates()) {
+    shape[static_cast<std::size_t>(program_->dims() - 1)] = strip;
+    axes.tiles.push_back(shape);
+  }
+  axes.depths = temporal_degree_candidates();
+  return axes;
+}
+
+std::vector<CandidateChain> CandidateSpace::temporal_chains() const {
+  return temporal_axes().chains();
 }
 
 std::vector<DesignConfig> CandidateSpace::heterogeneous_candidates(
@@ -249,20 +258,6 @@ std::vector<DesignConfig> CandidateSpace::heterogeneous_candidates(
     }
   }
   return out;
-}
-
-std::int64_t CandidateSpace::size() const {
-  const auto count = [](const auto& axis) {
-    return static_cast<std::int64_t>(axis.size());
-  };
-  const std::int64_t shared_axes =
-      count(replication_factors()) * count(options_->unroll_candidates);
-  const std::int64_t fusions = count(fusion_candidates());
-  return shared_axes * count(parallelism_candidates()) *
-             count(tile_shape_candidates()) * fusions +
-         shared_axes * count(strip_candidates()) *
-             count(temporal_degree_candidates()) +
-         fusions * count(options_->shrink_candidates);
 }
 
 std::vector<CandidateSpace::ChainBlock> CandidateSpace::blocks(

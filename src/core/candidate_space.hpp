@@ -48,6 +48,30 @@ struct CandidateChain {
   std::vector<sim::DesignConfig> configs;
 };
 
+/// One family's candidate space as five axes in the contract enumeration
+/// order: replication, parallelism, unroll, tile shape, depth (fusion
+/// depth h, or temporal degree T) fastest. Candidate `index` is the
+/// mixed-radix number over the axes, so a search can hold an index
+/// instead of a DesignConfig and build the config only when it needs it.
+/// Consecutive runs of depths.size() indices form one CandidateChain;
+/// group_size() consecutive indices share one (R, K, U) group.
+struct CandidateAxes {
+  /// Family and kind; the axes fill in every other field.
+  sim::DesignConfig prototype;
+  std::vector<int> replications;
+  std::vector<std::array<int, 3>> parallelisms;
+  std::vector<int> unrolls;
+  std::vector<std::array<std::int64_t, 3>> tiles;
+  std::vector<std::int64_t> depths;
+
+  std::int64_t size() const;
+  /// Candidates per (R, K, U) group: tiles x depths.
+  std::int64_t group_size() const;
+  sim::DesignConfig config(std::int64_t index) const;
+  /// Every candidate, as one chain per (R, K, U, tile).
+  std::vector<CandidateChain> chains() const;
+};
+
 class CandidateSpace {
  public:
   CandidateSpace(const scl::stencil::StencilProgram& program,
@@ -72,8 +96,12 @@ class CandidateSpace {
   /// Fusion depths h to explore (filtered to <= program iterations).
   std::vector<std::int64_t> fusion_candidates() const;
 
-  /// Every (parallelism, unroll, tile-shape) combination of `kind` as a
-  /// chain over the fusion depths, in the contract enumeration order.
+  /// The pipe-tiling space of `kind`: every (replication, parallelism,
+  /// unroll, tile shape) combination over the fusion depths.
+  CandidateAxes axes(sim::DesignKind kind) const;
+
+  /// axes(kind) as chains over the fusion depths, in the contract
+  /// enumeration order.
   std::vector<CandidateChain> chains(sim::DesignKind kind) const;
 
   /// Strip widths for the temporal-shift family: the innermost-dimension
@@ -85,10 +113,15 @@ class CandidateSpace {
   /// iteration count (a fixed-depth cascade cannot run a partial pass).
   std::vector<std::int64_t> temporal_degree_candidates() const;
 
-  /// The temporal-shift family (arch/family.hpp): every (vector width,
-  /// strip width) combination as a chain over the temporal degrees,
-  /// ascending. Shift-register size and unroll grow monotonically with T,
-  /// so the evaluator's first-over-budget chain cut stays valid.
+  /// The temporal-shift family (arch/family.hpp) on the same axes: one
+  /// pipeline (K = 1x1x1), vector width V as the unroll, strip shapes
+  /// (full grid extent but the innermost strip width) as the tiles, and
+  /// the temporal degrees as the depths.
+  CandidateAxes temporal_axes() const;
+
+  /// temporal_axes() as chains over the temporal degrees, ascending.
+  /// Shift-register size and unroll grow monotonically with T, so the
+  /// evaluator's first-over-budget chain cut stays valid.
   std::vector<CandidateChain> temporal_chains() const;
 
   /// The heterogeneous search derived from a chosen baseline (§5.4):
@@ -98,11 +131,6 @@ class CandidateSpace {
   /// points whose shrink collapses to the shrink=0 candidate are skipped.
   std::vector<sim::DesignConfig> heterogeneous_candidates(
       const sim::DesignConfig& baseline) const;
-
-  /// Configs one Optimizer can evaluate: chains(kind) for one kind, the
-  /// temporal chains, and the heterogeneous grid (fusion depths x shrink
-  /// values) of a baseline. Arithmetic over the axes, no enumeration.
-  std::int64_t size() const;
 
   /// Half-open chain index range [first, second) forming one evaluation
   /// block.

@@ -8,23 +8,10 @@
 // baseline's fusion column, and fused-depth sweeps (bench_fig7) re-touch
 // DSE points — and from repeated evaluate() calls in user sweeps.
 //
-// Thread safety: the hot read path is lock-free. Entries live in an
-// open-addressed slot table; each slot carries an atomic state word
-// `(epoch << 2) | phase` with phase ∈ {empty, busy, ready}. A writer
-// CAS-claims an empty (or stale-epoch) slot to `busy`, fills the full
-// 96-byte key plus the value, then release-stores `ready`; a reader
-// acquire-loads the state word and only touches the (immutable once
-// ready) key/value bytes after observing `ready` in the current epoch,
-// so no lock and no data race is involved in a hit. Readers treat a
-// `busy` slot as a miss — the duplicate compute is benign because values
-// are pure — while writers spin (with yield) on `busy` so insert() can
-// dedupe exactly and size() stays precise. When a bounded linear probe
-// window fills up, entries spill to a small sharded-mutex overflow map;
-// correctness is unaffected, only that (rare) path takes a lock.
-//
-// clear() bumps the epoch, which logically empties every slot in O(1);
-// it requires external quiescence (no concurrent cache calls), matching
-// how the engine uses it (reset between runs, never mid-search).
+// Thread safety: entries live in kShards mutex-guarded hash maps,
+// sharded by key hash, so concurrent workers rarely contend on one lock.
+// With branch-and-bound a search evaluates hundreds of designs, not tens
+// of thousands, so a lock per lookup costs nothing measurable.
 //
 // Memoization cannot perturb results (values are pure); when two workers
 // race to fill the same key, the first writer wins and both observe the
@@ -33,10 +20,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "core/resource_estimator.hpp"
 #include "model/perf_model.hpp"
@@ -58,13 +43,6 @@ struct CachedEvaluation {
 
 class EvalCache {
  public:
-  /// Default and largest slot-table size: holds a full suite-kernel
-  /// sweep without spilling to the locked overflow map.
-  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 16;
-
-  /// `capacity` is the slot-table size, rounded up to a power of two.
-  explicit EvalCache(std::size_t capacity = kMaxCapacity);
-
   /// Returns the cached evaluation for `key`, or runs `compute`, stores
   /// its result, and returns it. `compute` may run concurrently for the
   /// same key under a race; both callers get the same (pure) value.
@@ -79,8 +57,6 @@ class EvalCache {
   }
 
   /// True plus the value when `key` is resident (counts as a hit or miss).
-  /// Lock-free: probes atomic slot states; a slot mid-insert reads as a
-  /// miss.
   bool lookup(const sim::DesignKey& key, CachedEvaluation* out);
 
   /// Inserts (first writer wins); returns false when already resident.
@@ -89,33 +65,15 @@ class EvalCache {
   std::int64_t hits() const;
   std::int64_t misses() const;
   std::int64_t size() const { return size_.load(std::memory_order_relaxed); }
-  /// Entries that found their probe window full and went to the locked
-  /// overflow map (a subset of size()).
-  std::int64_t spilled() const {
-    return spilled_.load(std::memory_order_relaxed);
-  }
   double hit_rate() const;
 
-  /// Logically empties the cache (O(1) epoch bump) and zeroes counters.
-  /// Requires quiescence: no concurrent cache calls.
+  /// Empties the cache and zeroes counters. Requires quiescence: no
+  /// concurrent cache calls.
   void clear();
 
  private:
-  // Slot phases, packed into the low 2 bits of the state word; the
-  // remaining bits carry the epoch the slot was filled in.
-  static constexpr std::uint64_t kEmpty = 0;
-  static constexpr std::uint64_t kBusy = 1;
-  static constexpr std::uint64_t kReady = 2;
-  /// Linear-probe window before spilling to the overflow map.
-  static constexpr std::size_t kMaxProbe = 32;
+  static constexpr std::size_t kShards = 16;
   static constexpr std::size_t kStatShards = 16;
-  static constexpr std::size_t kOverflowShards = 16;
-
-  struct Slot {
-    std::atomic<std::uint64_t> state{0};
-    sim::DesignKey key{};
-    CachedEvaluation value{};
-  };
 
   // Hit/miss tallies are sharded by worker slot and cache-line padded so
   // the hot path never bounces one shared counter between cores.
@@ -124,7 +82,7 @@ class EvalCache {
     std::atomic<std::int64_t> misses{0};
   };
 
-  struct OverflowShard {
+  struct Shard {
     std::mutex mutex;
     std::unordered_map<sim::DesignKey, CachedEvaluation, sim::DesignKeyHash>
         map;
@@ -132,14 +90,10 @@ class EvalCache {
 
   void count_hit();
   void count_miss();
-  OverflowShard& overflow_for(std::size_t hash);
+  Shard& shard_for(const sim::DesignKey& key);
 
-  std::vector<Slot> slots_;
-  std::size_t slot_mask_ = 0;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::vector<std::unique_ptr<OverflowShard>> overflow_;
+  Shard shards_[kShards];
   std::atomic<std::int64_t> size_{0};
-  std::atomic<std::int64_t> spilled_{0};
   StatShard stats_[kStatShards];
 };
 

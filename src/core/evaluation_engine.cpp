@@ -63,12 +63,11 @@ DesignPoint to_point(const DesignConfig& config,
 EvaluationEngine::EvaluationEngine(
     const scl::stencil::StencilProgram& program,
     const fpga::DeviceSpec& device, model::ConeMode cone_mode, int threads,
-    bool analyze_candidates, bool deep_ir_analysis, std::size_t cache_capacity)
+    bool analyze_candidates, bool deep_ir_analysis)
     : program_(&program),
       device_(device),
       analyze_candidates_(analyze_candidates),
-      deep_ir_analysis_(deep_ir_analysis),
-      cache_(cache_capacity) {
+      deep_ir_analysis_(deep_ir_analysis) {
   const int resolved = ThreadPool::resolve_threads(threads);
   perf_models_.reserve(static_cast<std::size_t>(resolved));
   resource_models_.reserve(static_cast<std::size_t>(resolved));
@@ -206,13 +205,17 @@ void EvaluationEngine::add_pruned(std::int64_t n) {
   if (support::obs::enabled()) pruned_counter().add(n);
 }
 
+void EvaluationEngine::add_bounded(std::int64_t n) {
+  bounded_.fetch_add(n, std::memory_order_relaxed);
+}
+
 DseStats EvaluationEngine::stats() const {
   DseStats stats;
   stats.candidates_evaluated = evaluated_.load(std::memory_order_relaxed);
   stats.candidates_pruned = pruned_.load(std::memory_order_relaxed);
+  stats.candidates_bounded = bounded_.load(std::memory_order_relaxed);
   stats.cache_hits = cache_.hits();
   stats.cache_misses = cache_.misses();
-  stats.cache_spills = cache_.spilled();
   stats.wall_seconds =
       static_cast<double>(wall_nanos_.load(std::memory_order_relaxed)) * 1e-9;
   stats.threads = pool_->thread_count();
@@ -222,6 +225,7 @@ DseStats EvaluationEngine::stats() const {
 void EvaluationEngine::reset_stats() {
   evaluated_.store(0, std::memory_order_relaxed);
   pruned_.store(0, std::memory_order_relaxed);
+  bounded_.store(0, std::memory_order_relaxed);
   wall_nanos_.store(0, std::memory_order_relaxed);
   cache_.clear();
 }

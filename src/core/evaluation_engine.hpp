@@ -35,9 +35,9 @@ struct DesignPoint;
 struct DseStats {
   std::int64_t candidates_evaluated = 0;  ///< cache hits + misses
   std::int64_t candidates_pruned = 0;     ///< skipped via lower bounds
+  std::int64_t candidates_bounded = 0;    ///< lower bounds computed
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
-  std::int64_t cache_spills = 0;  ///< entries in the locked overflow map
   double wall_seconds = 0.0;  ///< time inside batch/chain evaluation
   int threads = 1;
 
@@ -62,12 +62,10 @@ class EvaluationEngine {
   /// `deep_ir_analysis` additionally generates each candidate's OpenCL
   /// and runs the pass-4 kernel-IR checks; its errors share the same
   /// analysis_errors filter. Requires analyze_candidates.
-  /// `cache_capacity` sizes the EvalCache slot table.
   EvaluationEngine(const scl::stencil::StencilProgram& program,
                    const fpga::DeviceSpec& device, model::ConeMode cone_mode,
                    int threads, bool analyze_candidates = false,
-                   bool deep_ir_analysis = false,
-                   std::size_t cache_capacity = EvalCache::kMaxCapacity);
+                   bool deep_ir_analysis = false);
 
   /// Evaluates one configuration through the cache (always on the calling
   /// thread). Thread-safe.
@@ -109,6 +107,9 @@ class EvaluationEngine {
   /// search phase, not per candidate.
   void add_pruned(std::int64_t n);
 
+  /// Credits `n` computed lower bounds to the stats, once per search.
+  void add_bounded(std::int64_t n);
+
  private:
   /// Cached evaluation without touching the evaluated-candidates
   /// counters; the chunked loops flush those once per block.
@@ -129,6 +130,7 @@ class EvaluationEngine {
   EvalCache cache_;
   std::atomic<std::int64_t> evaluated_{0};
   std::atomic<std::int64_t> pruned_{0};
+  std::atomic<std::int64_t> bounded_{0};
   std::atomic<std::int64_t> wall_nanos_{0};
 };
 

@@ -4,7 +4,6 @@
 #include <limits>
 #include <optional>
 
-#include "model/lower_bound.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/observability/observability.hpp"
@@ -61,19 +60,75 @@ bool better_design(const DesignPoint& candidate,
   return design_order(candidate, incumbent);
 }
 
+/// Bounds each config of a flat list, index = list position.
+BoundedSpace bound_configs(const std::vector<DesignConfig>& configs,
+                           const model::LowerBoundModel& model,
+                           const fpga::ResourceVector& cap) {
+  BoundedSpace out;
+  out.bounded = static_cast<std::int64_t>(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const model::LowerBound lb = model.bound(configs[i]);
+    if (lb.floor.fits_within(cap)) {
+      out.survivors.push_back({lb.cycles, static_cast<std::int64_t>(i)});
+    } else {
+      ++out.skipped;
+    }
+  }
+  return out;
+}
+
 }  // namespace
+
+BoundedSpace bound_axes(const CandidateAxes& axes,
+                        const model::LowerBoundModel& model,
+                        const fpga::ResourceVector& cap) {
+  BoundedSpace out;
+  const auto depths = static_cast<std::int64_t>(axes.depths.size());
+  std::int64_t index = 0;
+  DesignConfig config = axes.prototype;
+  // The group's logic floor is taken at its smallest depth, the floor of
+  // every deeper candidate.
+  config.fused_iterations =
+      *std::min_element(axes.depths.begin(), axes.depths.end());
+  for (const int replication : axes.replications) {
+    config.replication = replication;
+    for (const std::array<int, 3>& parallelism : axes.parallelisms) {
+      config.parallelism = parallelism;
+      for (const int unroll : axes.unrolls) {
+        config.unroll = unroll;
+        if (!model.logic_floor(config).fits_within(cap)) {
+          out.skipped += axes.group_size();
+          index += axes.group_size();
+          continue;
+        }
+        for (const std::array<std::int64_t, 3>& tile : axes.tiles) {
+          config.tile_size = tile;
+          const model::ChainTerms terms = model.chain_terms(config);
+          for (std::int64_t j = 0; j < depths; ++j) {
+            const model::LowerBound lb =
+                model.bound(terms, axes.depths[static_cast<std::size_t>(j)]);
+            ++out.bounded;
+            if (!lb.floor.fits_within(cap)) {
+              out.skipped += depths - j;  // deeper floors only grow
+              break;
+            }
+            out.survivors.push_back({lb.cycles, index + j});
+          }
+          index += depths;
+        }
+      }
+    }
+  }
+  return out;
+}
 
 Optimizer::Optimizer(const StencilProgram& program, OptimizerOptions options)
     : program_(&program),
       options_(std::move(options)),
       space_(program, options_),
+      bound_model_(program, options_.device),
       engine_(program, options_.device, options_.cone_mode, options_.threads,
-              options_.analyze_candidates, options_.deep_ir_analysis,
-              // Room for every config the space holds, so even the
-              // exhaustive searches stay on the lock-free slot table,
-              // without paying for the largest table on small spaces.
-              static_cast<std::size_t>(std::min<std::int64_t>(
-                  space_.size(), EvalCache::kMaxCapacity))) {
+              options_.analyze_candidates, options_.deep_ir_analysis) {
   SCL_CHECK(options_.resource_fraction > 0.0 &&
                 options_.resource_fraction <= 1.0,
             "resource fraction must be in (0, 1]");
@@ -110,108 +165,105 @@ DesignPoint Optimizer::select_best(
 }
 
 std::optional<DesignPoint> Optimizer::branch_and_bound(
-    const std::vector<CandidateChain>& chains,
-    const fpga::ResourceVector& cap) const {
-  // Flat view of the chains, enumeration order. Bounding works per
-  // candidate; Phase B restores the chain structure so the monotone
-  // early exit on over-budget fusion tails still applies.
-  std::vector<const DesignConfig*> flat;
-  for (const CandidateChain& chain : chains) {
-    for (const DesignConfig& config : chain.configs) flat.push_back(&config);
-  }
-  // Phase A (serial, hence deterministic for any thread count): bound
-  // every candidate, find a feasible incumbent by walking the most
-  // promising bounds first, and decide the kept set from bounds alone.
-  std::vector<char> keep(flat.size(), 0);
+    const std::function<BoundedSpace()>& bound_space,
+    const std::function<DesignConfig(std::int64_t)>& config_at,
+    std::int64_t chain_length, const fpga::ResourceVector& cap) const {
+  // Phase A (serial, hence deterministic for any thread count): bound the
+  // space, find a feasible incumbent by walking the most promising bounds
+  // first, and decide the kept set from bounds alone.
+  std::vector<std::int64_t> kept;
   std::optional<DesignPoint> seed;
   {
     const auto span = support::obs::tracer().span("dse/prune", "dse");
-    const model::LowerBoundModel bound_model(*program_, options_.device);
-    std::vector<model::LowerBound> bounds(flat.size());
-    std::vector<std::size_t> heap;
-    heap.reserve(flat.size());
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-      bounds[i] = bound_model.bound(*flat[i]);
-      // Even the BRAM lower bound misses the cap: provably infeasible,
-      // never worth evaluating (not even as an incumbent).
-      if (bounds[i].bram18 <= cap.bram18) heap.push_back(i);
-    }
+    BoundedSpace space = bound_space();
+    engine_.add_bounded(space.bounded);
     // Min-heap on (bound, enumeration index): it pops in exactly the
     // ascending sorted order, but the seed usually turns up in the first
     // batch or two, so only those pops pay the log factor — sorting the
-    // whole space would not.
-    const auto pops_later = [&](std::size_t a, std::size_t b) {
-      if (bounds[a].cycles != bounds[b].cycles) {
-        return bounds[a].cycles > bounds[b].cycles;
-      }
-      return a > b;  // enumeration index breaks ties deterministically
+    // survivors would not. Popped candidates collect behind `unpopped`.
+    std::vector<BoundedCandidate>& heap = space.survivors;
+    const auto pops_later = [](const BoundedCandidate& a,
+                               const BoundedCandidate& b) {
+      if (a.cycles != b.cycles) return a.cycles > b.cycles;
+      return a.index > b.index;  // enumeration index breaks ties
     };
     std::make_heap(heap.begin(), heap.end(), pops_later);
+    auto unpopped = heap.end();
     // Incumbent seed: evaluate bound-ascending in small batches until a
     // design fits. The tighter the seed, the smaller the kept set, but
-    // any feasible design is a correct incumbent.
+    // any feasible design is a correct incumbent. The resource floor
+    // only removed designs that cannot fit, so the first feasible design
+    // in bound order, the seed, is the same with or without it.
     constexpr std::size_t kSeedBatch = 8;
-    std::vector<char> seen(flat.size(), 0);
-    while (!seed && !heap.empty()) {
-      std::vector<std::size_t> probe;
+    while (!seed && unpopped != heap.begin()) {
       std::vector<DesignConfig> batch;
-      while (probe.size() < kSeedBatch && !heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), pops_later);
-        probe.push_back(heap.back());
-        heap.pop_back();
-        batch.push_back(*flat[probe.back()]);
+      while (batch.size() < kSeedBatch && unpopped != heap.begin()) {
+        std::pop_heap(heap.begin(), unpopped, pops_later);
+        --unpopped;
+        batch.push_back(config_at(unpopped->index));
       }
-      const std::vector<DesignPoint> points = engine_.evaluate_batch(batch);
-      // The whole batch was evaluated, so none of it counts as pruned.
-      for (const std::size_t i : probe) seen[i] = 1;
-      for (const DesignPoint& point : points) {
+      for (const DesignPoint& point : engine_.evaluate_batch(batch)) {
         if (point.analysis_errors > 0) continue;
         if (!point.resources.total.fits_within(cap)) continue;
         seed = point;
         break;
       }
     }
-    if (!seed) return std::nullopt;  // exhaustively infeasible
-    const double ceiling = kPruneMargin * seed->prediction.total_cycles;
-    std::int64_t pruned = 0;
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-      keep[i] = bounds[i].bram18 <= cap.bram18 && bounds[i].cycles <= ceiling;
-      // Seed-probed candidates were evaluated, not skipped; candidates
-      // dropped later by Phase B's early exit are not counted either —
-      // this counter reports lower-bound prunes only.
-      if (keep[i] == 0 && seen[i] == 0) ++pruned;
+    // Floor-skipped candidates are pruned even when nothing fits.
+    std::int64_t pruned = space.skipped;
+    if (seed) {
+      const double ceiling = kPruneMargin * seed->prediction.total_cycles;
+      for (auto it = heap.begin(); it != heap.end(); ++it) {
+        if (it->cycles <= ceiling) {
+          kept.push_back(it->index);
+        } else if (it < unpopped) {
+          // Seed-probed candidates were evaluated, not skipped;
+          // candidates dropped later by Phase B's early exit are not
+          // counted either — this counter reports bound prunes only.
+          ++pruned;
+        }
+      }
     }
     engine_.add_pruned(pruned);
+    if (!seed) return std::nullopt;  // exhaustively infeasible
   }
   // Phase B: evaluate the kept subsets in enumeration order on the pool.
-  // Candidates outside the kept set have exact latency >= their bound
-  // > kPruneMargin x incumbent >= kPruneMargin x optimum, far beyond the
-  // near-tie band, so the running-best scan over this subsequence picks
-  // the same design the exhaustive scan would. Keeping the chain
-  // structure (each kept subset is still ascending in fusion depth)
-  // lets evaluate_chains early-exit the over-budget tails exactly as
-  // the exhaustive path does.
-  std::vector<CandidateChain> kept;
-  kept.reserve(chains.size());
-  std::size_t at = 0;
-  for (const CandidateChain& chain : chains) {
-    CandidateChain subset;
-    for (const DesignConfig& config : chain.configs) {
-      if (keep[at++] != 0) subset.configs.push_back(config);
+  // Candidates outside the kept set either cannot fit (resource floor)
+  // or have exact latency >= their bound > kPruneMargin x incumbent >=
+  // kPruneMargin x optimum, far beyond the near-tie band, so the
+  // running-best scan over this subsequence picks the same design the
+  // exhaustive scan would. Keeping the chain structure (each kept subset
+  // is still ascending in depth) lets evaluate_chains early-exit the
+  // over-budget tails exactly as the exhaustive path does.
+  std::sort(kept.begin(), kept.end());
+  std::vector<CandidateChain> chains;
+  std::int64_t chain = -1;
+  for (const std::int64_t index : kept) {
+    if (index / chain_length != chain) {
+      chain = index / chain_length;
+      chains.emplace_back();
     }
-    if (!subset.configs.empty()) kept.push_back(std::move(subset));
+    chains.back().configs.push_back(config_at(index));
   }
-  const std::vector<DesignPoint> feasible = engine_.evaluate_chains(kept, cap);
+  const std::vector<DesignPoint> feasible = engine_.evaluate_chains(chains, cap);
   for (const DesignPoint& point : feasible) retained_.insert(point);
   if (feasible.empty()) return std::nullopt;  // unreachable: seed is kept
   return select_best(feasible);
+}
+
+std::optional<DesignPoint> Optimizer::branch_and_bound(
+    const CandidateAxes& axes, const fpga::ResourceVector& cap) const {
+  return branch_and_bound(
+      [&] { return bound_axes(axes, bound_model_, cap); },
+      [&](std::int64_t index) { return axes.config(index); },
+      static_cast<std::int64_t>(axes.depths.size()), cap);
 }
 
 DesignPoint Optimizer::optimize_baseline() const {
   const DseStats before = engine_.stats();
   std::optional<DesignPoint> best;
   if (options_.prune) {
-    best = branch_and_bound(space_.chains(DesignKind::kBaseline), budget());
+    best = branch_and_bound(space_.axes(DesignKind::kBaseline), budget());
   } else {
     const std::vector<DesignPoint> feasible = explore(DesignKind::kBaseline);
     for (const DesignPoint& point : feasible) retained_.insert(point);
@@ -239,7 +291,7 @@ DesignPoint Optimizer::optimize_temporal() const {
   const DseStats before = engine_.stats();
   std::optional<DesignPoint> best;
   if (options_.prune) {
-    best = branch_and_bound(space_.temporal_chains(), budget());
+    best = branch_and_bound(space_.temporal_axes(), budget());
   } else {
     const std::vector<DesignPoint> feasible = explore_temporal();
     for (const DesignPoint& point : feasible) retained_.insert(point);
@@ -282,11 +334,12 @@ DesignPoint Optimizer::optimize_heterogeneous(
     // Shrink does not vary resources monotonically, so each candidate is
     // its own single-config chain: the chain early exit degenerates to
     // the plain feasibility filter.
-    std::vector<CandidateChain> singleton(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      singleton[i].configs.push_back(candidates[i]);
-    }
-    best = branch_and_bound(singleton, cap);
+    best = branch_and_bound(
+        [&] { return bound_configs(candidates, bound_model_, cap); },
+        [&](std::int64_t index) {
+          return candidates[static_cast<std::size_t>(index)];
+        },
+        1, cap);
   } else {
     const std::vector<DesignPoint> points = engine_.evaluate_batch(candidates);
     std::vector<DesignPoint> feasible;

@@ -21,6 +21,7 @@
 // frontiers and best() are bit-identical for any thread count.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "core/pareto_front.hpp"
 #include "core/resource_estimator.hpp"
 #include "fpga/device.hpp"
+#include "model/lower_bound.hpp"
 #include "model/perf_model.hpp"
 #include "sim/design.hpp"
 #include "stencil/program.hpp"
@@ -84,6 +86,36 @@ struct OptimizerOptions {
   /// stay exhaustive.
   bool prune = true;
 };
+
+/// A candidate that Phase A of branch-and-bound kept for the seed heap:
+/// its latency bound and its enumeration index.
+struct BoundedCandidate {
+  double cycles = 0.0;
+  std::int64_t index = 0;
+};
+
+/// Phase A's bounding pass over one search space.
+struct BoundedSpace {
+  /// Candidates whose resource floor fits the cap, in enumeration order.
+  std::vector<BoundedCandidate> survivors;
+  /// Candidates whose bound was computed.
+  std::int64_t bounded = 0;
+  /// Candidates dropped because their resource floor breaks the cap,
+  /// bounded or not.
+  std::int64_t skipped = 0;
+};
+
+/// Bounds a product space group first, in the contract order R → K → U →
+/// tile → depth. A group whose logic floor (model::LowerBoundModel::
+/// logic_floor: exact DSP, datapath LUT/FF) breaks `cap` is skipped
+/// whole; otherwise each chain's depth-independent terms are computed
+/// once, and the chain stops at its first depth whose resource floor
+/// breaks `cap` (the floor is monotone in the depth). Each survivor's
+/// bound is bit-identical to model.bound(axes.config(index)). Holds
+/// nothing per candidate beyond the survivors.
+BoundedSpace bound_axes(const CandidateAxes& axes,
+                        const model::LowerBoundModel& model,
+                        const fpga::ResourceVector& cap);
 
 class Optimizer {
  public:
@@ -159,19 +191,28 @@ class Optimizer {
  private:
   DesignPoint select_best(const std::vector<DesignPoint>& feasible) const;
 
-  /// Branch-and-bound over `chains` (enumeration order) under resource
-  /// cap `cap`: serial deterministic bound/seed/keep phase, then one
-  /// parallel chain evaluation of the kept subsets (which preserves the
-  /// monotone early exit on over-budget fusion tails). Returns the same
-  /// design the exhaustive filter-and-select path returns, or nullopt
-  /// when nothing feasible exists. Feasible points feed retained_.
+  /// Branch-and-bound under resource cap `cap` over a space whose
+  /// candidates are enumeration indices: `bound_space` bounds it (Phase
+  /// A), `config_at` builds the config of an index, and runs of
+  /// `chain_length` consecutive indices form one chain. A serial,
+  /// deterministic seed/keep phase is followed by one parallel chain
+  /// evaluation of the kept subsets (which preserves the monotone early
+  /// exit on over-budget depth tails). Returns the same design the
+  /// exhaustive filter-and-select path returns, or nullopt when nothing
+  /// feasible exists. Feasible points feed retained_.
   std::optional<DesignPoint> branch_and_bound(
-      const std::vector<CandidateChain>& chains,
-      const fpga::ResourceVector& cap) const;
+      const std::function<BoundedSpace()>& bound_space,
+      const std::function<sim::DesignConfig(std::int64_t)>& config_at,
+      std::int64_t chain_length, const fpga::ResourceVector& cap) const;
+
+  /// branch_and_bound over a product space.
+  std::optional<DesignPoint> branch_and_bound(
+      const CandidateAxes& axes, const fpga::ResourceVector& cap) const;
 
   const scl::stencil::StencilProgram* program_;
   OptimizerOptions options_;
   CandidateSpace space_;
+  model::LowerBoundModel bound_model_;
   /// Mutable: the engine's cache and counters advance under const
   /// searches; evaluation itself is pure.
   mutable EvaluationEngine engine_;

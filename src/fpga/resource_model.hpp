@@ -85,6 +85,20 @@ class ResourceModel {
   /// estimated separately inside estimate_kernel).
   std::int64_t bram_blocks_for(std::int64_t elements) const;
 
+  /// The part of estimate_kernel() that buffers and pipes do not change:
+  /// `fixed` (control and interface) plus `unroll` x `per_lane` (one
+  /// datapath lane). Both have bram18 = 0.
+  struct KernelLogic {
+    ResourceVector fixed;
+    ResourceVector per_lane;
+  };
+  KernelLogic kernel_logic(const scl::stencil::StencilProgram& program) const;
+
+  /// What each BRAM18 block of a kernel costs: the block itself plus its
+  /// banking/multiplexing FF and LUT. estimate_kernel() is
+  /// fixed + unroll x per_lane + blocks x per_bram18() + pipe endpoints.
+  ResourceVector per_bram18() const;
+
  private:
   DeviceSpec device_;
   ResourceCalibration calib_;

@@ -81,7 +81,8 @@ LowerBoundModel::LowerBoundModel(const StencilProgram& program,
                                  fpga::DeviceSpec device)
     : program_(&program),
       device_(device),
-      resource_model_(std::move(device)) {
+      resource_model_(std::move(device)),
+      logic_(resource_model_.kernel_logic(program)) {
   for (int u = 1; u < static_cast<int>(ii_sum_by_unroll_.size()); ++u) {
     double sum = 0.0;
     for (int s = 0; s < program.stage_count(); ++s) {
@@ -115,54 +116,105 @@ double LowerBoundModel::ii_sum(int unroll) const {
   return sum;
 }
 
-LowerBound LowerBoundModel::bound(const DesignConfig& config) const {
-  const StencilProgram& prog = *program_;
-  if (config.family == scl::arch::DesignFamily::kTemporalShift) {
-    return temporal_bound(config);
-  }
-  const double h = static_cast<double>(config.fused_iterations);
-  const double k = static_cast<double>(config.total_kernels());
+fpga::ResourceVector LowerBoundModel::floor(std::int64_t kernels,
+                                            std::int64_t lanes,
+                                            std::int64_t bram18) const {
+  return (logic_.fixed + logic_.per_lane * lanes) * kernels +
+         resource_model_.per_bram18() * bram18;
+}
 
+fpga::ResourceVector LowerBoundModel::logic_floor(
+    const DesignConfig& config) const {
+  if (config.family == scl::arch::DesignFamily::kTemporalShift) {
+    return floor(config.replication,
+                 config.fused_iterations * config.unroll, 0);
+  }
+  return floor(config.replicated_kernels(), config.unroll, 0);
+}
+
+ChainTerms LowerBoundModel::chain_terms(const DesignConfig& config) const {
+  const StencilProgram& prog = *program_;
+  ChainTerms terms;
+  terms.config = config;
   // Eq. 2 exactly: tile_extents() conserves the region extent K_d * w_d
   // no matter how the edge shrink redistributes, so this term needs no
   // bounding at all. The replica split mirrors PerfModel::predict exactly
-  // (ceil over the spatial regions), so it stays exact too.
+  // (ceil over the spatial regions), so it stays exact too; the same
+  // holds for the temporal family's passes x strips.
   std::int64_t spatial_regions = 1;
   for (int d = 0; d < prog.dims(); ++d) {
     spatial_regions *=
         ceil_div(prog.grid_box().extent(d), config.region_extent(d));
   }
-  const std::int64_t n_region =
-      ceil_div(prog.iterations(), config.fused_iterations) *
+  terms.replica_regions =
       ceil_div(spatial_regions, static_cast<std::int64_t>(config.replication));
+
+  if (config.family == scl::arch::DesignFamily::kTemporalShift) {
+    // Owned strip cells only: the exact model walks the padded strip
+    // (>= owned) and adds the store drain (>= 0); memory moves at least
+    // the owned cells once in each direction (the feed covers the halo
+    // too).
+    double owned = 1.0;
+    for (int d = 0; d < prog.dims(); ++d) {
+      owned *= static_cast<double>(config.tile_size[static_cast<std::size_t>(d)]);
+    }
+    const double l_comp_lb = ii_max(config.unroll) * owned /
+                             static_cast<double>(config.unroll);
+    const double bw_share =
+        std::min(device_.mem_port_bytes_per_cycle,
+                 device_.replica_bytes_per_cycle(config.replication));
+    const double l_mem_lb =
+        owned *
+        static_cast<double>(prog.field_count() + prog.mutable_field_count()) *
+        StencilProgram::element_bytes() / bw_share;
+    terms.region_cycles = std::max(l_comp_lb, l_mem_lb);
+    return terms;
+  }
+
+  // The corner kernel's cone and tile (Eqs. 4-10). The bandwidth share is
+  // the exact value the perf model charges, so the bank split costs no
+  // slack.
+  terms.cone = corner_cone(prog, config);
+  for (int d = 0; d < prog.dims(); ++d) {
+    terms.write_cells *= terms.cone.extent[static_cast<std::size_t>(d)];
+  }
+  terms.bw_share =
+      std::min(device_.mem_port_bytes_per_cycle,
+               device_.replica_bytes_per_cycle(config.replication) /
+                   static_cast<double>(config.total_kernels()));
+  return terms;
+}
+
+LowerBound LowerBoundModel::bound(const ChainTerms& terms,
+                                  std::int64_t depth) const {
+  const DesignConfig& config = terms.config;
+  if (config.family == scl::arch::DesignFamily::kTemporalShift) {
+    return temporal_bound(terms, depth);
+  }
+  const StencilProgram& prog = *program_;
+  const double h = static_cast<double>(depth);
+  const std::int64_t n_region =
+      ceil_div(prog.iterations(), depth) * terms.replica_regions;
 
   // Eqs. 4-6: the corner kernel reads its cone base, e_d + c_d * h per
   // dimension (shared-face halo margins dropped), for every field and
-  // writes its tile for every mutable field. The bandwidth share is the
-  // exact value the perf model charges, so the bank split costs no slack.
-  const ConeGeometry cone = corner_cone(prog, config);
+  // writes its tile for every mutable field.
   double read_cells = 1.0;
-  double write_cells = 1.0;
   for (int d = 0; d < prog.dims(); ++d) {
     const auto ds = static_cast<std::size_t>(d);
-    read_cells *= cone.extent[ds] + cone.growth[ds] * h;
-    write_cells *= cone.extent[ds];
+    read_cells *= terms.cone.extent[ds] + terms.cone.growth[ds] * h;
   }
-  const double bw_share =
-      std::min(device_.mem_port_bytes_per_cycle,
-               device_.replica_bytes_per_cycle(config.replication) / k);
   const double bytes = StencilProgram::element_bytes();
   const double l_mem_lb =
       read_cells * static_cast<double>(prog.field_count()) * bytes /
-          bw_share +
-      write_cells * static_cast<double>(prog.mutable_field_count()) * bytes /
-          bw_share;
+          terms.bw_share +
+      terms.write_cells * static_cast<double>(prog.mutable_field_count()) *
+          bytes / terms.bw_share;
 
   // Eqs. 7-10: fused iteration i walks the corner kernel's cone,
   // Π_d (e_d + c_d * j) cells with j = h - i remaining iterations, per
   // stage at the stage's II; exposed pipe waits (Eq. 11) are >= 0.
-  const double l_comp_lb = cone_cells(cone, prog.dims(),
-                                      config.fused_iterations) *
+  const double l_comp_lb = cone_cells(terms.cone, prog.dims(), depth) *
                            ii_sum(config.unroll) /
                            static_cast<double>(config.unroll);
 
@@ -176,62 +228,39 @@ LowerBound LowerBoundModel::bound(const DesignConfig& config) const {
   // face is exterior), heterogeneous kernels at least the tile itself
   // (shared-face halos are >= 0).
   const double padded_min =
-      config.kind == DesignKind::kBaseline ? read_cells : write_cells;
+      config.kind == DesignKind::kBaseline ? read_cells : terms.write_cells;
   const auto elements_lb = static_cast<std::int64_t>(
       padded_min * static_cast<double>(prog.field_count() + shadow_stages_));
-  lb.bram18 = config.replicated_kernels() *
-              resource_model_.bram_blocks_for(
-                  std::max<std::int64_t>(elements_lb, 1));
+  lb.floor = floor(config.replicated_kernels(), config.unroll,
+                   config.replicated_kernels() *
+                       resource_model_.bram_blocks_for(
+                           std::max<std::int64_t>(elements_lb, 1)));
   return lb;
 }
 
-LowerBound LowerBoundModel::temporal_bound(const DesignConfig& config) const {
+LowerBound LowerBoundModel::temporal_bound(const ChainTerms& terms,
+                                           std::int64_t t_deg) const {
   const StencilProgram& prog = *program_;
-  const std::int64_t t_deg = config.fused_iterations;
+  const DesignConfig& config = terms.config;
   const auto& radii = prog.iter_radii();
   const int strip_dim = prog.dims() - 1;
 
-  // N_region is exact for this family too: passes x strips, with the
-  // pass's strips split ceil-wise across the R replica cascades.
-  std::int64_t spatial_regions = 1;
-  for (int d = 0; d < prog.dims(); ++d) {
-    spatial_regions *=
-        ceil_div(prog.grid_box().extent(d), config.region_extent(d));
-  }
-  const std::int64_t n_region =
-      ceil_div(prog.iterations(), t_deg) *
-      ceil_div(spatial_regions, static_cast<std::int64_t>(config.replication));
-
-  // Owned strip cells only: the exact model walks the padded strip
-  // (>= owned) and adds the store drain (>= 0); memory moves at least the
-  // owned cells once in each direction (the feed covers the halo too).
-  double owned = 1.0;
-  std::array<std::int64_t, 3> ext{1, 1, 1};
-  for (int d = 0; d < prog.dims(); ++d) {
-    const auto ds = static_cast<std::size_t>(d);
-    owned *= static_cast<double>(config.tile_size[ds]);
-    ext[ds] = config.tile_size[ds];
-    if (d == strip_dim) ext[ds] += t_deg * (radii[ds][0] + radii[ds][1]);
-  }
-  const double l_comp_lb = ii_max(config.unroll) * owned /
-                           static_cast<double>(config.unroll);
-  const double bw_share =
-      std::min(device_.mem_port_bytes_per_cycle,
-               device_.replica_bytes_per_cycle(config.replication));
-  const double l_mem_lb =
-      owned *
-      static_cast<double>(prog.field_count() + prog.mutable_field_count()) *
-      StencilProgram::element_bytes() / bw_share;
-
   LowerBound lb;
-  lb.cycles =
-      static_cast<double>(n_region) * std::max(l_comp_lb, l_mem_lb);
+  lb.cycles = static_cast<double>(ceil_div(prog.iterations(), t_deg) *
+                                  terms.replica_regions) *
+              terms.region_cycles;
 
   // BRAM: every mutable field keeps states 1..T-1 in registers of length
   // >= step_delay + 1 (the boundary passthrough taps each state one full
   // step behind its head) plus at least the state-0 head element; the
   // pooled rounding bram_blocks_for(sum) never exceeds the layout's
   // per-register total. step_delay is recomputed allocation-free here.
+  std::array<std::int64_t, 3> ext{1, 1, 1};
+  for (int d = 0; d < prog.dims(); ++d) {
+    const auto ds = static_cast<std::size_t>(d);
+    ext[ds] = config.tile_size[ds];
+    if (d == strip_dim) ext[ds] += t_deg * (radii[ds][0] + radii[ds][1]);
+  }
   std::int64_t step_delay = 0;
   for (int s = 0; s < prog.stage_count(); ++s) {
     std::int64_t span = 0;
@@ -250,9 +279,10 @@ LowerBound LowerBoundModel::temporal_bound(const DesignConfig& config) const {
   }
   const std::int64_t elements_lb =
       prog.mutable_field_count() * ((t_deg - 1) * (step_delay + 1) + 1);
-  lb.bram18 =
-      config.replication *
-      resource_model_.bram_blocks_for(std::max<std::int64_t>(elements_lb, 1));
+  lb.floor = floor(config.replication, t_deg * config.unroll,
+                   config.replication *
+                       resource_model_.bram_blocks_for(
+                           std::max<std::int64_t>(elements_lb, 1)));
   return lb;
 }
 

@@ -1,4 +1,4 @@
-// Admissible lower bounds on a design's latency and BRAM footprint,
+// Admissible lower bounds on a design's latency and resources,
 // derived from the same analytical model as PerfModel (paper Eqs. 1–11)
 // by dropping every term that can only add cost.
 //
@@ -40,8 +40,36 @@
 //     (plus the shadow copies of double-buffered stages); pipe FIFO
 //     blocks only add. bram_blocks_for() is monotone in elements, so
 //     K × bram_blocks_for(padded_min_cells × (F + shadows)) bounds the
-//     design total, which lets the search discard configs that cannot
-//     possibly fit the budget without pricing them exactly.
+//     design total.
+//
+// Resource floor. LowerBound::floor bounds all four resources the budget
+// caps, so the search can drop a design that cannot fit without pricing
+// it. estimate_kernel() is linear: fixed + lanes × per_lane + blocks ×
+// per_bram18 + pipe endpoints (fpga::ResourceModel::kernel_logic). A
+// design instantiates n kernels of `lanes` lanes each:
+//
+//   * pipe-tiling: n = R·K, lanes = U; temporal: n = R, lanes = T·V.
+//   * DSP is exact: n × lanes × DSP per lane. Buffers and pipes use none,
+//     so it does not depend on the tile, and for pipe-tiling not on h.
+//   * LUT/FF ≥ n × (fixed + lanes × per_lane) + BRAM floor × per-block
+//     cost: the per-block cost is positive and the exact BRAM total is
+//     at least the floor; pipe endpoints only add.
+//
+// Every component of the floor is non-decreasing in the chain depth (h,
+// or T): the cone base grows with h; the temporal step delay grows with
+// the padded strip (a read whose linear offset falls as the strip widens
+// is already negative and never sets the span), and with it the register
+// length, as do the T·V lanes. So a walk over a chain's ascending depths
+// may stop at the first floor that breaks the cap. logic_floor() drops
+// the BRAM term: it holds for every tile and depth of an (R, K, U) group
+// (at the group's smallest depth), which lets the walk skip whole groups
+// on DSP, LUT or FF alone.
+//
+// Staging. bound(config) is chain_terms(config) followed by
+// bound(terms, depth): the first hoists what every depth of one chain
+// shares (cone geometry, region count, bandwidth share), the second adds
+// the depth terms. A walk that reuses one ChainTerms across a chain gets
+// bit-identical bounds.
 #pragma once
 
 #include <array>
@@ -75,8 +103,24 @@ struct LowerBound {
   /// Admissible latency bound in cycles: bound(c).cycles <= exact
   /// PerfModel::predict(c).total_cycles for every valid config c.
   double cycles = 0.0;
-  /// Admissible bound on the design's total BRAM18 blocks.
-  std::int64_t bram18 = 0;
+  /// Admissible bound on the design's total resources: exact DSP, and
+  /// FF/LUT/BRAM18 never above the estimate (see the derivation above).
+  fpga::ResourceVector floor;
+};
+
+/// The depth-independent terms of one chain's bounds (see "Staging").
+struct ChainTerms {
+  /// The chain's config; its depth (fused_iterations) is ignored.
+  sim::DesignConfig config;
+  /// ceil(spatial regions / R): regions per replica and pass.
+  std::int64_t replica_regions = 1;
+  /// Pipe-tiling: the priced corner kernel, its tile cells, and the
+  /// per-kernel bandwidth share.
+  ConeGeometry cone;
+  double write_cells = 1.0;
+  double bw_share = 1.0;
+  /// Temporal: cycles per region, max(L_comp, L_mem) (no h term).
+  double region_cycles = 0.0;
 };
 
 /// Re-entrant like PerfModel: all state is immutable after construction,
@@ -89,7 +133,20 @@ class LowerBoundModel {
   /// Bounds for one (valid) candidate config. Costs O(dims²) — no vector
   /// allocation, no per-iteration loop — which is what makes bounding
   /// the whole candidate space cheaper than evaluating a fraction of it.
-  LowerBound bound(const sim::DesignConfig& config) const;
+  LowerBound bound(const sim::DesignConfig& config) const {
+    return bound(chain_terms(config), config.fused_iterations);
+  }
+
+  /// The terms bound() shares across the depths of `config`'s chain.
+  ChainTerms chain_terms(const sim::DesignConfig& config) const;
+
+  /// bound() of the chain's config at depth `depth` (h, or T).
+  LowerBound bound(const ChainTerms& terms, std::int64_t depth) const;
+
+  /// DSP/LUT/FF of the datapath and control alone (bram18 = 0): a floor
+  /// of every tile and every depth >= config.fused_iterations of the
+  /// config's (R, K, U) group.
+  fpga::ResourceVector logic_floor(const sim::DesignConfig& config) const;
 
   // Temporal-shift bounds (same admissibility contract): the walk covers
   // at least the strip's owned cells at II_max/V; memory moves at least
@@ -103,11 +160,15 @@ class LowerBoundModel {
  private:
   double ii_sum(int unroll) const;
   double ii_max(int unroll) const;
-  LowerBound temporal_bound(const sim::DesignConfig& config) const;
+  /// n kernels of `lanes` lanes holding at least `bram18` blocks.
+  fpga::ResourceVector floor(std::int64_t kernels, std::int64_t lanes,
+                             std::int64_t bram18) const;
+  LowerBound temporal_bound(const ChainTerms& terms, std::int64_t t_deg) const;
 
   const scl::stencil::StencilProgram* program_;
   fpga::DeviceSpec device_;
   fpga::ResourceModel resource_model_;
+  fpga::ResourceModel::KernelLogic logic_;
   /// Σ_s II_s precomputed per unroll factor (II is bank-scaled, hence
   /// unroll-invariant today, but the table keeps the bound honest if the
   /// HLS estimator ever changes that).

@@ -37,9 +37,10 @@ std::vector<std::int64_t> DesignConfig::tile_extents(int d) const {
 }
 
 std::int64_t DesignConfig::region_extent(int d) const {
-  std::int64_t total = 0;
-  for (const std::int64_t e : tile_extents(d)) total += e;
-  return total;
+  // Balancing moves cells between tiles and never changes their sum.
+  SCL_CHECK(d >= 0 && d < 3, "bad dimension");
+  const auto ds = static_cast<std::size_t>(d);
+  return parallelism[ds] * tile_size[ds];
 }
 
 double DesignConfig::balance_factor(int d, int k) const {

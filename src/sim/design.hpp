@@ -93,7 +93,8 @@ struct DesignConfig {
   /// as possible (lower-indexed interior tiles take the remainder).
   std::vector<std::int64_t> tile_extents(int d) const;
 
-  /// Region extent along d: sum of the balanced tile extents.
+  /// Region extent along d: sum of the balanced tile extents, which is
+  /// K_d x w_d whatever the edge shrink (closed form, no allocation).
   std::int64_t region_extent(int d) const;
 
   /// The paper's balancing factor f_d^k = extent_k / w_d.

@@ -49,6 +49,25 @@ void expect_identical(const DesignPoint& a, const DesignPoint& b,
       << what << ": resources differ";
 }
 
+/// The resource floors must never exceed the estimate `exact`, on any of
+/// the four resources, and their DSP term is exact (buffers and pipes
+/// use no DSP): both the candidate's floor and its (R, K, U) group's
+/// logic floor.
+::testing::AssertionResult floors_are_admissible(
+    const model::LowerBoundModel& model, const sim::DesignConfig& config,
+    const model::LowerBound& lb, const fpga::ResourceVector& exact) {
+  for (const fpga::ResourceVector& floor :
+       {lb.floor, model.logic_floor(config)}) {
+    if (floor.dsp != exact.dsp || floor.lut > exact.lut ||
+        floor.ff > exact.ff || floor.bram18 > exact.bram18) {
+      return ::testing::AssertionFailure()
+             << "floor " << floor.to_string() << " vs estimate "
+             << exact.to_string();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// A small instance of every suite kernel: big enough for a non-trivial
 /// candidate space, small enough that the exhaustive reference stays
 /// cheap under the sanitizers.
@@ -64,43 +83,52 @@ StencilProgram scaled(const BenchmarkInfo& info) {
 }
 
 TEST(DsePruneTest, PrunedOptimumMatchesExhaustiveOnEverySuiteKernel) {
+  // Every suite kernel on a DDR part and both HBM parts (where the
+  // replication axis is live), in all three searches.
   for (const BenchmarkInfo& info : scl::stencil::paper_benchmarks()) {
     const StencilProgram program = scaled(info);
-    OptimizerOptions pruned_options;
-    pruned_options.threads = 2;
-    pruned_options.prune = true;
-    OptimizerOptions exhaustive_options = pruned_options;
-    exhaustive_options.prune = false;
-    const Optimizer pruned(program, pruned_options);
-    const Optimizer exhaustive(program, exhaustive_options);
+    for (const char* device : {"xc7vx690t", "xcu280", "s10mx"}) {
+      const std::string what = info.name + " on " + device;
+      OptimizerOptions pruned_options;
+      pruned_options.threads = 2;
+      pruned_options.prune = true;
+      pruned_options.device = fpga::find_device(device);
+      OptimizerOptions exhaustive_options = pruned_options;
+      exhaustive_options.prune = false;
+      const Optimizer pruned(program, pruned_options);
+      const Optimizer exhaustive(program, exhaustive_options);
 
-    const DesignPoint base_p = pruned.optimize_baseline();
-    const DesignPoint base_e = exhaustive.optimize_baseline();
-    expect_identical(base_p, base_e, info.name + " baseline");
-    // The searches must also agree on infeasibility: pruning may never
-    // turn a solvable heterogeneous search into a ResourceError (or vice
-    // versa). The scaled 1-D instance exercises exactly this branch.
-    std::optional<DesignPoint> het_p;
-    std::optional<DesignPoint> het_e;
-    try {
-      het_p = pruned.optimize_heterogeneous(base_p);
-    } catch (const ResourceError&) {
-    }
-    try {
-      het_e = exhaustive.optimize_heterogeneous(base_e);
-    } catch (const ResourceError&) {
-    }
-    ASSERT_EQ(het_p.has_value(), het_e.has_value())
-        << info.name << ": pruning changed heterogeneous feasibility";
-    if (het_p.has_value()) {
-      expect_identical(*het_p, *het_e, info.name + " heterogeneous");
-    }
+      const DesignPoint base_p = pruned.optimize_baseline();
+      const DesignPoint base_e = exhaustive.optimize_baseline();
+      expect_identical(base_p, base_e, what + " baseline");
+      // The searches must also agree on infeasibility: pruning may never
+      // turn a solvable heterogeneous search into a ResourceError (or
+      // vice versa). The scaled 1-D instance exercises exactly this
+      // branch.
+      std::optional<DesignPoint> het_p;
+      std::optional<DesignPoint> het_e;
+      try {
+        het_p = pruned.optimize_heterogeneous(base_p);
+      } catch (const ResourceError&) {
+      }
+      try {
+        het_e = exhaustive.optimize_heterogeneous(base_e);
+      } catch (const ResourceError&) {
+      }
+      ASSERT_EQ(het_p.has_value(), het_e.has_value())
+          << what << ": pruning changed heterogeneous feasibility";
+      if (het_p.has_value()) {
+        expect_identical(*het_p, *het_e, what + " heterogeneous");
+      }
+      expect_identical(pruned.optimize_temporal(),
+                       exhaustive.optimize_temporal(), what + " temporal");
 
-    const DseStats stats = pruned.dse_stats();
-    EXPECT_GT(stats.candidates_pruned, 0)
-        << info.name << ": pruning never engaged";
-    EXPECT_EQ(exhaustive.dse_stats().candidates_pruned, 0)
-        << info.name << ": exhaustive search must not prune";
+      const DseStats stats = pruned.dse_stats();
+      EXPECT_GT(stats.candidates_pruned, 0)
+          << what << ": pruning never engaged";
+      EXPECT_EQ(exhaustive.dse_stats().candidates_pruned, 0)
+          << what << ": exhaustive search must not prune";
+    }
   }
 }
 
@@ -140,7 +168,8 @@ TEST(DsePruneTest, LowerBoundIsAdmissibleAcrossBaselineSpaces) {
         const DesignPoint exact = optimizer.evaluate(config);
         ASSERT_LE(lb.cycles, exact.prediction.total_cycles)
             << name << " " << config.summary(program.dims());
-        ASSERT_LE(lb.bram18, exact.resources.total.bram18)
+        ASSERT_TRUE(floors_are_admissible(bound_model, config, lb,
+                                          exact.resources.total))
             << name << " " << config.summary(program.dims());
         ++checked;
       }
@@ -177,7 +206,8 @@ TEST(DsePruneTest, LowerBoundIsAdmissibleAcrossHbmReplicatedSpaces) {
         const DesignPoint exact = optimizer.evaluate(config);
         ASSERT_LE(lb.cycles, exact.prediction.total_cycles)
             << device.name << " " << config.summary(program.dims());
-        ASSERT_LE(lb.bram18, exact.resources.total.bram18)
+        ASSERT_TRUE(floors_are_admissible(bound_model, config, lb,
+                                          exact.resources.total))
             << device.name << " " << config.summary(program.dims());
         ++checked;
         if (config.replication > 1) ++replicated;
@@ -265,7 +295,8 @@ TEST(DsePruneTest, LowerBoundIsAdmissibleForHeterogeneousCandidates) {
     const DesignPoint exact = optimizer.evaluate(config);
     ASSERT_LE(lb.cycles, exact.prediction.total_cycles)
         << config.summary(program.dims());
-    ASSERT_LE(lb.bram18, exact.resources.total.bram18)
+    ASSERT_TRUE(floors_are_admissible(bound_model, config, lb,
+                                      exact.resources.total))
         << config.summary(program.dims());
     ++checked;
   }
@@ -423,13 +454,14 @@ TEST_P(LowerBoundSweepTest, BoundIsAdmissibleAndTightOnBaselines) {
         for (const sim::DesignConfig& config : configs) {
           const model::LowerBound lb = bound_model.bound(config);
           const double exact = perf_model.predict_cycles(config);
-          const std::int64_t bram =
+          const fpga::ResourceVector resources =
               estimate_design_resources(program, config, resource_model)
-                  .total.bram18;
+                  .total;
           ASSERT_LE(lb.cycles, exact)
               << info.name << " " << device_name << " "
               << config.summary(program.dims());
-          ASSERT_LE(lb.bram18, bram)
+          ASSERT_TRUE(
+              floors_are_admissible(bound_model, config, lb, resources))
               << info.name << " " << device_name << " "
               << config.summary(program.dims());
           if (config.kind == sim::DesignKind::kBaseline) {
@@ -450,6 +482,100 @@ TEST_P(LowerBoundSweepTest, BoundIsAdmissibleAndTightOnBaselines) {
   EXPECT_GT(heterogeneous, 100) << info.name;
 }
 
+TEST_P(LowerBoundSweepTest, BoundIsAdmissibleOnTemporalCandidates) {
+  const BenchmarkInfo& info = scl::stencil::find_benchmark(GetParam());
+  std::vector<std::array<std::int64_t, 3>> shapes;
+  switch (info.dims) {
+    case 1:
+      shapes = {{4096, 1, 1}, {32768, 1, 1}};
+      break;
+    case 2:
+      shapes = {{64, 64, 1}, {512, 512, 1}};
+      break;
+    default:
+      shapes = {{16, 16, 16}, {64, 64, 64}};
+      break;
+  }
+  std::int64_t checked = 0;
+  for (const auto& shape : shapes) {
+    const StencilProgram program = info.make_scaled(shape, 16);
+    for (const char* device_name : {"xc7vx690t", "xcu280", "s10mx"}) {
+      OptimizerOptions options;
+      options.device = fpga::find_device(device_name);
+      const CandidateSpace space(program, options);
+      const model::LowerBoundModel bound_model(program, options.device);
+      const model::PerfModel perf_model(program, options.device,
+                                        options.cone_mode);
+      const fpga::ResourceModel resource_model(options.device);
+      for (const CandidateChain& chain : space.temporal_chains()) {
+        for (const sim::DesignConfig& config : chain.configs) {
+          const model::LowerBound lb = bound_model.bound(config);
+          ASSERT_LE(lb.cycles, perf_model.predict_cycles(config))
+              << info.name << " " << device_name << " "
+              << config.summary(program.dims());
+          ASSERT_TRUE(floors_are_admissible(
+              bound_model, config, lb,
+              estimate_design_resources(program, config, resource_model)
+                  .total))
+              << info.name << " " << device_name << " "
+              << config.summary(program.dims());
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100) << info.name;
+}
+
+TEST_P(LowerBoundSweepTest, GroupWalkKeepsExactlyTheFittingFloors) {
+  // bound_axes skips whole (R, K, U) groups on their logic floor and
+  // stops each chain at its first over-cap floor. Against a full bound()
+  // of every candidate of the paper-scale spaces, under the device
+  // budget and under a quarter of it: the walk keeps exactly the
+  // candidates whose floor fits, with bit-identical latency bounds.
+  const BenchmarkInfo& info = scl::stencil::find_benchmark(GetParam());
+  const StencilProgram program = info.make_paper_scale();
+  for (const char* device_name : {"xc7vx690t", "xcu280", "s10mx"}) {
+    OptimizerOptions options;
+    options.threads = 1;
+    options.device = fpga::find_device(device_name);
+    const Optimizer optimizer(program, options);
+    const model::LowerBoundModel bound_model(program, options.device);
+    const fpga::ResourceVector budget = optimizer.budget();
+    const fpga::ResourceVector quarter{budget.ff / 4, budget.lut / 4,
+                                       budget.dsp / 4, budget.bram18 / 4};
+    for (const fpga::ResourceVector& cap : {budget, quarter}) {
+      for (const CandidateAxes& axes :
+           {optimizer.space().axes(sim::DesignKind::kBaseline),
+            optimizer.space().temporal_axes()}) {
+        const BoundedSpace walk = bound_axes(axes, bound_model, cap);
+        const std::string what = info.name + " " + device_name + " " +
+                                 cap.to_string() + " " +
+                                 arch::to_string(axes.prototype.family);
+        ASSERT_EQ(walk.skipped +
+                      static_cast<std::int64_t>(walk.survivors.size()),
+                  axes.size())
+            << what;
+        EXPECT_LE(walk.bounded, axes.size()) << what;
+        std::size_t next = 0;
+        for (std::int64_t i = 0; i < axes.size(); ++i) {
+          const sim::DesignConfig config = axes.config(i);
+          const model::LowerBound lb = bound_model.bound(config);
+          const bool kept = next < walk.survivors.size() &&
+                            walk.survivors[next].index == i;
+          ASSERT_EQ(lb.floor.fits_within(cap), kept)
+              << what << " " << config.summary(program.dims());
+          if (!kept) continue;
+          ASSERT_EQ(0, std::memcmp(&lb.cycles, &walk.survivors[next].cycles,
+                                   sizeof(double)))
+              << what << " " << config.summary(program.dims());
+          ++next;
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKernels, LowerBoundSweepTest,
                          ::testing::Values("Jacobi-1D", "Jacobi-2D",
                                            "HotSpot-2D", "FDTD-2D",
@@ -463,24 +589,28 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, LowerBoundSweepTest,
 
 TEST(DsePruneTest, PaperScaleBaselineCandidateCountsArePinned) {
   // Deterministic work counters of the paper-scale baseline searches.
-  // The cone-aware bound cut each 3-D search at least 3x below the
-  // counts of the cone-free bound (`before`); the exact pins make any
-  // later loosening of the bound fail loudly. On the HBM part the whole
-  // flow (baseline, heterogeneous, temporal) must also stay inside the
-  // EvalCache slot table.
+  // `before` is the evaluated count of the BRAM-only bound; the resource
+  // floor and the group walk may only lower it. `bounded` counts the
+  // bounds the group walk computed: whole (R, K, U) groups that cannot
+  // meet the DSP/LUT/FF budget are never bounded. The exact pins make
+  // any later loosening fail loudly.
   struct Pin {
     const char* kernel;
     const char* device;
     std::int64_t before;
     std::int64_t evaluated;
+    std::int64_t bounded;
   };
   const Pin pins[] = {
-      {"Jacobi-3D", "xc7vx690t", 11721, 28},
-      {"HotSpot-3D", "xc7vx690t", 8514, 242},
-      {"FDTD-3D", "xc7vx690t", 5933, 60},
-      {"Jacobi-3D", "xcu280", 41242, 4843},
-      {"HotSpot-3D", "xcu280", 34149, 7338},
-      {"FDTD-3D", "xcu280", 21541, 6267},
+      {"Jacobi-3D", "xc7vx690t", 28, 28, 13340},
+      {"HotSpot-3D", "xc7vx690t", 242, 32, 8185},
+      {"FDTD-3D", "xc7vx690t", 60, 32, 6419},
+      {"Jacobi-3D", "xcu280", 4843, 147, 44124},
+      {"HotSpot-3D", "xcu280", 7338, 238, 31870},
+      {"FDTD-3D", "xcu280", 6267, 112, 19236},
+      {"Jacobi-3D", "s10mx", 10806, 421, 44814},
+      {"HotSpot-3D", "s10mx", 13582, 223, 30369},
+      {"FDTD-3D", "s10mx", 14271, 216, 17046},
   };
   for (const Pin& pin : pins) {
     const StencilProgram program =
@@ -489,17 +619,13 @@ TEST(DsePruneTest, PaperScaleBaselineCandidateCountsArePinned) {
     options.threads = 1;
     options.device = fpga::find_device(pin.device);
     const Optimizer optimizer(program, options);
-    const DesignPoint baseline = optimizer.optimize_baseline();
-    const std::int64_t evaluated = optimizer.dse_stats().candidates_evaluated;
-    EXPECT_EQ(evaluated, pin.evaluated) << pin.kernel << " " << pin.device;
-    EXPECT_LE(3 * evaluated, pin.before) << pin.kernel << " " << pin.device;
-    try {
-      (void)optimizer.optimize_heterogeneous(baseline);
-    } catch (const ResourceError&) {
-      // A replication-spent baseline cap may leave no redistribution.
-    }
-    (void)optimizer.optimize_temporal();
-    EXPECT_EQ(optimizer.dse_stats().cache_spills, 0)
+    (void)optimizer.optimize_baseline();
+    const DseStats stats = optimizer.dse_stats();
+    EXPECT_EQ(stats.candidates_evaluated, pin.evaluated)
+        << pin.kernel << " " << pin.device;
+    EXPECT_LE(stats.candidates_evaluated, pin.before)
+        << pin.kernel << " " << pin.device;
+    EXPECT_EQ(stats.candidates_bounded, pin.bounded)
         << pin.kernel << " " << pin.device;
   }
 }

@@ -152,50 +152,9 @@ TEST(EvalCacheTest, ConcurrentFindOrComputeConverges) {
   EXPECT_EQ(cache.hits() + cache.misses(), n);
 }
 
-TEST(EvalCacheTest, TinyCapacitySpillsToOverflowCorrectly) {
-  // A 4-slot table forces most entries through the locked overflow map;
-  // hit/miss semantics and size() must be indistinguishable from the
-  // lock-free fast path.
-  EvalCache cache(4);
-  const int n = 100;
-  for (int i = 0; i < n; ++i) {
-    EXPECT_TRUE(cache.insert(sample_config(1 + i).key(),
-                             fake_eval(static_cast<double>(i))));
-  }
-  EXPECT_EQ(cache.size(), n);
-  EXPECT_EQ(cache.spilled(), n - 4);  // all but the four slotted entries
-  for (int i = 0; i < n; ++i) {
-    CachedEvaluation out;
-    ASSERT_TRUE(cache.lookup(sample_config(1 + i).key(), &out)) << i;
-    EXPECT_EQ(out.prediction.total_cycles, static_cast<double>(i));
-    EXPECT_FALSE(cache.insert(sample_config(1 + i).key(), fake_eval(-1.0)));
-  }
-  EXPECT_EQ(cache.hits(), n);
-}
-
-TEST(EvalCacheTest, ClearBumpsEpochAndSlotsAreReclaimable) {
-  EvalCache cache(8);  // small: clear()+reinsert reclaims stale slots
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      cache.insert(sample_config(1 + i).key(), fake_eval(round * 100.0 + i));
-    }
-    EXPECT_EQ(cache.size(), 20);
-    CachedEvaluation out;
-    ASSERT_TRUE(cache.lookup(sample_config(5).key(), &out));
-    EXPECT_EQ(out.prediction.total_cycles, round * 100.0 + 4);
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0);
-    EXPECT_EQ(cache.spilled(), 0);
-    EXPECT_FALSE(cache.lookup(sample_config(5).key(), &out));
-    EXPECT_EQ(cache.misses(), 1);  // counters restarted by clear()
-    cache.clear();
-  }
-}
-
 TEST(EvalCacheTest, ConcurrentInsertersDedupeExactly) {
-  // 8 threads hammer insert() on 16 shared keys: the busy-wait dedupe on
-  // the write path must keep size() exact — one winner per key. TSan
-  // runs this in CI.
+  // 8 threads hammer insert() on 16 shared keys: size() must stay exact
+  // — one winner per key. TSan runs this in CI.
   EvalCache cache;
   ThreadPool pool(8);
   std::atomic<int> winners{0};

@@ -144,7 +144,7 @@ TEST(TemporalLayout, LowerBoundAdmissibleAcrossTemporalSpace) {
         const auto point = optimizer.evaluate(config);
         EXPECT_LE(lb.cycles, exact.predict(config).total_cycles * 1.0000001)
             << name << " " << config.summary(prog.dims());
-        EXPECT_LE(lb.bram18, point.resources.total.bram18)
+        EXPECT_LE(lb.floor.bram18, point.resources.total.bram18)
             << name << " " << config.summary(prog.dims());
       }
     }
