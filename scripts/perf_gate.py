@@ -33,9 +33,19 @@ metrics:
                                      work counters under the same key +
                                      "/<counter>", gated exactly like
                                      dse candidates
+  bench=sim      key (kernel, device, family)
+                   runs_per_sec      1 / cpu_seconds, the min-of-5
+                                     thread-CPU time of one timing-only
+                                     simulation (baseline, heterogeneous,
+                                     temporal; "all" sums them), gated
+                                     like verify rows
+                   regions, tile_tasks, steps, pipe_writes
+                                     sim::SimStats work counters under
+                                     the same key + "/<counter>", gated
+                                     exactly
 
 Parallel speedup is not gated: on a shared host it tracks contention,
-not code. Verify rows are keyed by device, so like the HBM dse legs a
+not code. Verify and sim rows are keyed by device, so like the HBM dse legs a
 vanished row fails the gate whatever its time.
 
 The mode suffix ("", "/warm") distinguishes bench_dse's cold rows (fresh
@@ -61,7 +71,7 @@ Timed metrics are higher-is-better; a row counts as a regression when
 
   current < baseline * (1 - threshold)
 
-Rows whose wall_seconds (cpu_seconds for verify rows; on either side)
+Rows whose wall_seconds (cpu_seconds for verify and sim rows; on either side)
 falls below --min-wall (default 0.02 s) are reported but never gated on
 timed metrics: at sub-floor times the metric is timer noise, not speed. Exact (counter) metrics
 ignore both the threshold and the floor: they regress when
@@ -156,6 +166,18 @@ def keyed_metrics(rows):
             if cpu is not None and cpu > 0.0:
                 metrics[key] = ("runs_per_sec", 1.0 / cpu, cpu, True, False)
             for counter in ("environments", "walks", "expressions"):
+                value = row.get(counter)
+                if value is not None:
+                    metrics[f"{key}/{counter}"] = (
+                        counter, float(value), cpu, True, True)
+        elif bench == "sim":
+            key = (f"sim/{row.get('kernel')}/{row.get('device')}/"
+                   f"{row.get('family')}")
+            cpu = row.get("cpu_seconds")
+            cpu = float(cpu) if cpu is not None else None
+            if cpu is not None and cpu > 0.0:
+                metrics[key] = ("runs_per_sec", 1.0 / cpu, cpu, True, False)
+            for counter in ("regions", "tile_tasks", "steps", "pipe_writes"):
                 value = row.get(counter)
                 if value is not None:
                     metrics[f"{key}/{counter}"] = (

@@ -113,8 +113,13 @@ SynthesisReport Framework::synthesize() const {
     const sim::Executor exec(options_.optimizer.device);
     report.baseline_sim = exec.run(*program_, report.baseline.config,
                                    sim::SimMode::kTimingOnly);
-    report.heterogeneous_sim = exec.run(*program_, report.heterogeneous.config,
-                                        sim::SimMode::kTimingOnly);
+    // When the baseline stands in for the heterogeneous design (see the
+    // DSE above), it is the same design: reuse its simulation.
+    report.heterogeneous_sim =
+        report.heterogeneous.config.key() == report.baseline.config.key()
+            ? report.baseline_sim
+            : exec.run(*program_, report.heterogeneous.config,
+                       sim::SimMode::kTimingOnly);
     if (report.temporal) {
       report.temporal_sim = exec.run(*program_, report.temporal->config,
                                      sim::SimMode::kTimingOnly);

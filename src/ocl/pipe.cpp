@@ -34,6 +34,7 @@ std::int64_t Pipe::claim_slots(std::int64_t count) {
 Pipe::WriteResult Pipe::write_impl(const std::vector<float>* values,
                                    std::size_t offset, std::int64_t count,
                                    std::int64_t writer_clock) {
+  ++write_calls_;
   const std::int64_t n = std::min(count, free_slots());
   if (n <= 0) return WriteResult{0, writer_clock};
   // The batch cannot start entering before the slots it reuses are free;

@@ -68,6 +68,8 @@ class Pipe {
   // --- statistics for the timeline reports ---
   std::int64_t total_written() const { return total_written_; }
   std::int64_t max_occupancy() const { return max_occupancy_; }
+  /// write()/write_counted() calls, including those a full FIFO refused.
+  std::int64_t write_calls() const { return write_calls_; }
 
  private:
   struct Run {
@@ -97,6 +99,7 @@ class Pipe {
   std::int64_t never_used_slots_;
   std::int64_t total_written_ = 0;
   std::int64_t max_occupancy_ = 0;
+  std::int64_t write_calls_ = 0;
 };
 
 }  // namespace scl::ocl

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <map>
 #include <memory>
 
 #include "arch/temporal_layout.hpp"
@@ -23,7 +22,7 @@ using scl::stencil::StencilProgram;
 Executor::RegionOutcome Executor::run_region(
     const StencilProgram& program, const DesignConfig& config,
     const RegionPlan& plan, std::int64_t pass_iterations, SimMode mode,
-    const FieldSet* global_in, FieldSet* global_out,
+    const FieldSet* global_in, FieldSet* global_out, SimStats* stats,
     std::vector<TraceEvent>* trace) const {
   // One region is executed by one replica; its memory channel is the
   // replica's share of the (possibly banked) device bandwidth. Exact
@@ -49,41 +48,59 @@ Executor::RegionOutcome Executor::run_region(
   }
 
   // Index tiles by coordinate for neighbor lookup.
-  auto coord_key = [&](int c0, int c1, int c2) {
-    return (c0 * config.parallelism[1] + c1) * config.parallelism[2] + c2;
+  auto coord_key = [&](const std::array<int, 3>& c) {
+    return static_cast<std::size_t>(
+        (c[0] * config.parallelism[1] + c[1]) * config.parallelism[2] + c[2]);
   };
-  std::vector<const TilePlacement*> by_coord(
-      static_cast<std::size_t>(config.total_kernels()), nullptr);
+  std::vector<std::size_t> by_coord(
+      static_cast<std::size_t>(config.total_kernels()), 0);
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    by_coord[coord_key(tiles[i].coord)] = i;
+  }
+  auto neighbor = [&](const TilePlacement& t, int d, int side) {
+    std::array<int, 3> nc = t.coord;
+    nc[static_cast<std::size_t>(d)] += side == 0 ? -1 : +1;
+    return by_coord[coord_key(nc)];
+  };
+
+  // Each tile's extended box per fused iteration, computed once: the tile
+  // bounds its compute cone with it, and every strip schedule it takes
+  // part in clips to it.
+  std::vector<std::vector<Box>> extended;
+  extended.reserve(tiles.size());
   for (const TilePlacement& t : tiles) {
-    by_coord[static_cast<std::size_t>(
-        coord_key(t.coord[0], t.coord[1], t.coord[2]))] = &t;
+    extended.push_back(extended_tile_boxes(program, t, pass_iterations));
   }
 
   // Create pipe pairs for every interior face (heterogeneous design only).
-  // One directed pipe per (tile, face); FIFOs are sized to hold at least
+  // One directed channel per (tile, face), holding the pipe and the strip
+  // schedule both of its ends consume; FIFOs are sized to hold at least
   // the widest strip so the symmetric send phases cannot deadlock.
-  std::vector<std::unique_ptr<ocl::Pipe>> pipes;
-  std::map<std::pair<int, int>, ocl::Pipe*> out_pipe_of;  // (kernel, face id)
-  auto face_id = [](int d, int side) { return d * 2 + side; };
+  std::vector<std::unique_ptr<PipeChannel>> channels;
+  // out_channel[tile][face id = d * 2 + side]
+  std::vector<std::array<PipeChannel*, 6>> out_channel(tiles.size());
   if (config.kind == DesignKind::kHeterogeneous) {
-    for (const TilePlacement& t : tiles) {
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+      const TilePlacement& t = tiles[i];
       for (int d = 0; d < program.dims(); ++d) {
         const auto ds = static_cast<std::size_t>(d);
         for (int side = 0; side < 2; ++side) {
           if (t.exterior[ds][static_cast<std::size_t>(side)]) continue;
-          std::array<int, 3> nc = t.coord;
-          nc[ds] += side == 0 ? -1 : +1;
-          const TilePlacement& nb =
-              *by_coord[static_cast<std::size_t>(coord_key(nc[0], nc[1], nc[2]))];
+          const std::size_t n = neighbor(t, d, side);
           const Face face{d, side == 0 ? -1 : +1};
-          const std::int64_t strip =
-              max_face_strip_elements(program, t, nb, face, pass_iterations);
+          const std::int64_t strip = max_face_strip_elements(
+              program, extended[i][1], extended[n][1], face);
           const std::int64_t depth =
               std::max(device_.pipe_fifo_depth, strip);
-          pipes.push_back(std::make_unique<ocl::Pipe>(
-              str_cat("pipe_k", t.kernel_index, "_d", d, side == 0 ? "n" : "p"),
-              depth, device_.pipe_cycles_per_element));
-          out_pipe_of[{t.kernel_index, face_id(d, side)}] = pipes.back().get();
+          channels.push_back(std::make_unique<PipeChannel>(PipeChannel{
+              ocl::Pipe(str_cat("pipe_k", t.kernel_index, "_d", d,
+                                side == 0 ? "n" : "p"),
+                        depth, device_.pipe_cycles_per_element),
+              // The receiver sees this tile across the mirrored face.
+              pipe_strip_schedule(program, extended[n], extended[i],
+                                  Face{d, -face.dir}, pass_iterations)}));
+          out_channel[i][static_cast<std::size_t>(d * 2 + side)] =
+              channels.back().get();
         }
       }
     }
@@ -91,13 +108,15 @@ Executor::RegionOutcome Executor::run_region(
 
   ocl::Runtime runtime;
   std::vector<std::shared_ptr<TileTask>> tasks;
-  for (const TilePlacement& t : tiles) {
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    const TilePlacement& t = tiles[i];
     TileTaskParams params;
     params.program = &program;
     params.mode = mode;
     params.kind = config.kind;
     params.tile = t;
     params.fused_iterations = pass_iterations;
+    params.extended = std::move(extended[i]);
     params.stage_cycles_per_element = stage_cel;
     params.stage_depth = stage_depth;
     params.launch_offset =
@@ -112,18 +131,15 @@ Executor::RegionOutcome Executor::run_region(
       for (int d = 0; d < program.dims(); ++d) {
         const auto ds = static_cast<std::size_t>(d);
         for (int side = 0; side < 2; ++side) {
-          if (t.exterior[ds][static_cast<std::size_t>(side)]) continue;
-          std::array<int, 3> nc = t.coord;
-          nc[ds] += side == 0 ? -1 : +1;
-          const TilePlacement& nb =
-              *by_coord[static_cast<std::size_t>(coord_key(nc[0], nc[1], nc[2]))];
-          params.neighbors[ds][static_cast<std::size_t>(side)] = nb;
-          params.out_pipes[ds][static_cast<std::size_t>(side)] =
-              out_pipe_of.at({t.kernel_index, face_id(d, side)});
-          // My incoming pipe across this face is the neighbor's outgoing
-          // pipe across the mirrored face.
-          params.in_pipes[ds][static_cast<std::size_t>(side)] =
-              out_pipe_of.at({nb.kernel_index, face_id(d, side == 0 ? 1 : 0)});
+          const auto ss = static_cast<std::size_t>(side);
+          if (t.exterior[ds][ss]) continue;
+          params.out_pipes[ds][ss] =
+              out_channel[i][static_cast<std::size_t>(d * 2 + side)];
+          // My incoming channel across this face is the neighbor's
+          // outgoing channel across the mirrored face.
+          params.in_pipes[ds][ss] = out_channel[neighbor(t, d, side)]
+                                               [static_cast<std::size_t>(
+                                                   d * 2 + (1 - side))];
         }
       }
     }
@@ -143,16 +159,24 @@ Executor::RegionOutcome Executor::run_region(
     outcome.cells_owned += task->cells_owned();
     outcome.cells_redundant += task->cells_redundant();
   }
-  for (const auto& pipe : pipes) {
-    outcome.pipe_elements += pipe->total_written();
+  for (const auto& channel : channels) {
+    outcome.pipe_elements += channel->pipe.total_written();
   }
   outcome.bytes = memory.total_bytes();
+  if (stats != nullptr) {
+    ++stats->regions;
+    stats->tile_tasks += static_cast<std::int64_t>(tasks.size());
+    stats->runtime_steps += runtime.steps_taken();
+    for (const auto& channel : channels) {
+      stats->pipe_writes += channel->pipe.write_calls();
+    }
+  }
   return outcome;
 }
 
 SimResult Executor::run_temporal(const StencilProgram& program,
-                                 const DesignConfig& config,
-                                 SimMode mode) const {
+                                 const DesignConfig& config, SimMode mode,
+                                 SimStats* stats) const {
   const arch::TemporalLayout layout =
       arch::make_temporal_layout(program, config);
   const RegionGrid grid(program, config);
@@ -214,6 +238,7 @@ SimResult Executor::run_temporal(const StencilProgram& program,
                                                              write_bytes);
     phases.mem_write = exposed - phases.mem_read;
     result.phases += phases * critical;
+    if (stats != nullptr) ++stats->regions;
   }
 
   if (mode == SimMode::kFunctional) {
@@ -221,7 +246,8 @@ SimResult Executor::run_temporal(const StencilProgram& program,
     // the previous committed state, boundary cells pass through), so the
     // spatial twin — a single-tile baseline over the same strips — yields
     // bit-identical field contents.
-    SimResult twin = run(program, arch::spatial_twin(config), mode);
+    SimResult twin =
+        run_pipe_tiling(program, arch::spatial_twin(config), mode, stats);
     result.fields = std::move(twin.fields);
   }
   result.total_ms =
@@ -245,18 +271,46 @@ RegionTrace Executor::trace_region(const StencilProgram& program,
   RegionTrace trace;
   const RegionOutcome outcome =
       run_region(program, config, pick->plan, config.fused_iterations,
-                 SimMode::kTimingOnly, nullptr, nullptr, &trace.events);
+                 SimMode::kTimingOnly, nullptr, nullptr, nullptr,
+                 &trace.events);
   trace.region_cycles = outcome.cycles;
   return trace;
 }
 
 SimResult Executor::run(const StencilProgram& program,
-                        const DesignConfig& config, SimMode mode) const {
+                        const DesignConfig& config, SimMode mode,
+                        SimStats* stats) const {
   const auto span = support::obs::tracer().span("sim/run", "sim");
-  if (config.family == arch::DesignFamily::kTemporalShift) {
-    return run_temporal(program, config, mode);
-  }
   const auto sim_start = std::chrono::steady_clock::now();
+  SimResult result =
+      config.family == arch::DesignFamily::kTemporalShift
+          ? run_temporal(program, config, mode, stats)
+          : run_pipe_tiling(program, config, mode, stats);
+  if (support::obs::enabled()) {
+    // Simulator wall time next to the modeled device cycles: the gap
+    // between "how long the simulation took" and "how long the design
+    // would run" is the simulator's own overhead, the analogue of the
+    // paper's predicted-vs-measured comparison for our pipeline.
+    static auto& runs = support::obs::metrics().counter(
+        "scl_sim_runs_total", "device simulations executed");
+    static auto& modeled = support::obs::metrics().counter(
+        "scl_sim_modeled_cycles_total",
+        "device cycles accumulated by the discrete-event simulation");
+    static auto& wall = support::obs::metrics().histogram(
+        "scl_sim_wall_ms", support::obs::default_latency_ms_buckets(),
+        "host wall time of one simulation run");
+    runs.increment();
+    modeled.add(result.total_cycles);
+    wall.observe(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - sim_start)
+                     .count());
+  }
+  return result;
+}
+
+SimResult Executor::run_pipe_tiling(const StencilProgram& program,
+                                    const DesignConfig& config, SimMode mode,
+                                    SimStats* stats) const {
   const RegionGrid grid(program, config);
   SimResult result;
   result.region_executions = grid.total_region_executions();
@@ -284,7 +338,8 @@ SimResult Executor::run(const StencilProgram& program,
                                  ? grid.last_pass_iterations()
                                  : config.fused_iterations;
       for (const RegionPlan& plan : regions) {
-        accumulate(run_region(program, config, plan, h, mode, &current, &next),
+        accumulate(run_region(program, config, plan, h, mode, &current, &next,
+                              stats),
                    1, 1);
       }
       std::swap(current, next);
@@ -302,38 +357,20 @@ SimResult Executor::run(const StencilProgram& program,
           shape.count, static_cast<std::int64_t>(config.replication));
       if (full_passes > 0) {
         accumulate(run_region(program, config, shape.plan,
-                              config.fused_iterations, mode, nullptr, nullptr),
+                              config.fused_iterations, mode, nullptr, nullptr,
+                              stats),
                    shape.count * full_passes, critical_count * full_passes);
       }
       if (full_passes != grid.passes()) {
         accumulate(run_region(program, config, shape.plan,
                               grid.last_pass_iterations(), mode, nullptr,
-                              nullptr),
+                              nullptr, stats),
                    shape.count, critical_count);
       }
     }
   }
 
   result.total_ms = device_.cycles_to_ms(static_cast<double>(result.total_cycles));
-  if (support::obs::enabled()) {
-    // Simulator wall time next to the modeled device cycles: the gap
-    // between "how long the simulation took" and "how long the design
-    // would run" is the simulator's own overhead, the analogue of the
-    // paper's predicted-vs-measured comparison for our pipeline.
-    static auto& runs = support::obs::metrics().counter(
-        "scl_sim_runs_total", "device simulations executed");
-    static auto& modeled = support::obs::metrics().counter(
-        "scl_sim_modeled_cycles_total",
-        "device cycles accumulated by the discrete-event simulation");
-    static auto& wall = support::obs::metrics().histogram(
-        "scl_sim_wall_ms", support::obs::default_latency_ms_buckets(),
-        "host wall time of one simulation run");
-    runs.increment();
-    modeled.add(result.total_cycles);
-    wall.observe(std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - sim_start)
-                     .count());
-  }
   return result;
 }
 

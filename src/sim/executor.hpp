@@ -45,6 +45,20 @@ struct SimResult {
   }
 };
 
+/// Deterministic work counters of simulation runs, for the sim bench.
+/// They describe how the simulator worked, not the design, so no report
+/// or artifact carries them.
+struct SimStats {
+  /// Region passes evaluated: one per representative (shape, pass length)
+  /// in timing-only mode, every region of every pass in functional mode,
+  /// one per distinct shape of a temporal cascade (closed form).
+  std::int64_t regions = 0;
+  std::int64_t tile_tasks = 0;     ///< tile kernels those regions ran
+  std::int64_t runtime_steps = 0;  ///< ocl::Runtime scheduler steps
+  /// Pipe write calls, including those a full FIFO refused.
+  std::int64_t pipe_writes = 0;
+};
+
 /// Simulator knobs for ablation studies; the defaults model the paper's
 /// proposed design.
 struct SimTuning {
@@ -69,9 +83,11 @@ class Executor {
 
   /// Simulates `config` running `program` on the device. Functional mode
   /// is intended for small instances (it touches every cell of every
-  /// region); timing-only handles the paper-scale inputs.
+  /// region); timing-only handles the paper-scale inputs. When `stats`
+  /// is given, the run's work counters are added to it.
   SimResult run(const scl::stencil::StencilProgram& program,
-                const DesignConfig& config, SimMode mode) const;
+                const DesignConfig& config, SimMode mode,
+                SimStats* stats = nullptr) const;
 
   /// Simulates one representative (interior, full-size) region pass and
   /// returns its per-kernel event trace. Timing-only.
@@ -93,7 +109,13 @@ class Executor {
                            std::int64_t pass_iterations, SimMode mode,
                            const scl::stencil::FieldSet* global_in,
                            scl::stencil::FieldSet* global_out,
+                           SimStats* stats,
                            std::vector<TraceEvent>* trace = nullptr) const;
+
+  /// Pipe-tiling family: event-driven region simulation (see run()).
+  SimResult run_pipe_tiling(const scl::stencil::StencilProgram& program,
+                            const DesignConfig& config, SimMode mode,
+                            SimStats* stats) const;
 
   /// Temporal-shift family (arch/family.hpp): models the single-kernel
   /// deep pipeline — per strip, one walk of the padded strip through the
@@ -103,7 +125,8 @@ class Executor {
   /// twin for bit-exact field contents (the cascade computes the same
   /// update schedule) while the timing numbers stay the cascade's.
   SimResult run_temporal(const scl::stencil::StencilProgram& program,
-                         const DesignConfig& config, SimMode mode) const;
+                         const DesignConfig& config, SimMode mode,
+                         SimStats* stats) const;
 
   fpga::DeviceSpec device_;
   SimTuning tuning_;

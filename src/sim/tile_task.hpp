@@ -10,8 +10,18 @@
 //    the pass's global output field set. Used at small scale to prove the
 //    tiling designs bit-exact against the ReferenceExecutor.
 //  * TimingOnly — the identical state machine and geometry, but no data is
-//    touched: compute charges cycles from cell counts, strips carry
-//    zero payloads of the right size. Used at paper-scale inputs.
+//    touched: compute charges cycles from cell counts and strips are
+//    element counts. Used at paper-scale inputs. A timing-only step
+//    allocates nothing: strip payloads exist only in functional mode, and
+//    the task name and trace labels are built only for a trace sink or a
+//    deadlock report.
+//
+// Geometry is computed once per pass, not per step. The executor hands
+// every task its extended boxes (one per fused iteration), and every
+// directed pipe is a PipeChannel that carries its strip schedule: the box
+// of each strip it transports, in protocol order. The sender and the
+// receiver both walk that one schedule, so the two ends agree on every
+// strip box by construction.
 //
 // Latency hiding (paper §3.1). Within each stage the cells are split into
 // the *independent* group (no halo data needed) and the *dependent* group
@@ -35,9 +45,9 @@
 // design from a single implementation.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "ocl/memory.hpp"
@@ -64,12 +74,51 @@ Box extended_tile_box(const scl::stencil::StencilProgram& program,
 
 /// The strip of field `f` that crosses `face` into `receiver`'s halo during
 /// fused iteration `i`: the receiver-side halo of width
-/// field_read_radii(f), clipped to the sender's extended box. Sender and
-/// receiver compute the identical box, which is what keeps the FIFO
-/// protocol self-synchronizing.
+/// field_read_radii(f), clipped to the sender's extended box.
+/// pipe_strip_schedule computes it once per pipe for both of the pipe's
+/// ends, which is what keeps the header-free FIFO protocol
+/// self-synchronizing.
 Box halo_strip_box(const scl::stencil::StencilProgram& program,
                    const TilePlacement& receiver, const TilePlacement& sender,
                    const Face& face, int f, std::int64_t h, std::int64_t i);
+
+/// extended_tile_box(program, placement, h, i) for i = 0..h, indexed by i.
+std::vector<Box> extended_tile_boxes(
+    const scl::stencil::StencilProgram& program,
+    const TilePlacement& placement, std::int64_t h);
+
+/// Protocol position of a strip: lexicographic (iteration, stage).
+struct StripKey {
+  std::int64_t iter = 0;
+  int stage = 0;
+  friend auto operator<=>(const StripKey&, const StripKey&) = default;
+};
+
+/// One boundary strip a directed pipe carries.
+struct StripSpec {
+  StripKey key;
+  int field = 0;
+  Box box;  ///< never empty
+};
+
+/// Every strip that crosses `face` (the receiver's face) into the
+/// receiver's halo during a pass of `h` fused iterations, in protocol
+/// order: one per (iteration, stage) whose output field a later stage or
+/// iteration reads across `face`, with the box halo_strip_box gives.
+/// Empty boxes are skipped. `receiver_extended` and `sender_extended` are
+/// the two tiles' extended_tile_boxes.
+std::vector<StripSpec> pipe_strip_schedule(
+    const scl::stencil::StencilProgram& program,
+    const std::vector<Box>& receiver_extended,
+    const std::vector<Box>& sender_extended, const Face& face,
+    std::int64_t h);
+
+/// One directed pipe between face-adjacent tiles and its strip schedule
+/// for the pass. Both ends consume `strips`; neither recomputes a box.
+struct PipeChannel {
+  ocl::Pipe pipe;
+  std::vector<StripSpec> strips;
+};
 
 /// Widest strip (elements) ever exchanged in either direction across the
 /// face between `a` and `b` (`face` is from `a`'s perspective). Pipes must
@@ -78,9 +127,14 @@ std::int64_t max_face_strip_elements(
     const scl::stencil::StencilProgram& program, const TilePlacement& a,
     const TilePlacement& b, const Face& face, std::int64_t h);
 
+/// The same from the two tiles' extended boxes at fused iteration 1.
+std::int64_t max_face_strip_elements(
+    const scl::stencil::StencilProgram& program, const Box& a_extended,
+    const Box& b_extended, const Face& face);
+
 /// Per-face pipe endpoints (index [dim][side]); null when the face is
 /// region-exterior or has no neighbor.
-using FacePipes = std::array<std::array<ocl::Pipe*, 2>, 3>;
+using FacePipes = std::array<std::array<PipeChannel*, 2>, 3>;
 
 struct TileTaskParams {
   const scl::stencil::StencilProgram* program = nullptr;
@@ -88,11 +142,9 @@ struct TileTaskParams {
   DesignKind kind = DesignKind::kBaseline;
 
   TilePlacement tile;
-  /// Placement of the face-adjacent sibling tile, indexed [dim][side];
-  /// only meaningful where tile.exterior is false.
-  std::array<std::array<TilePlacement, 2>, 3> neighbors{};
-
   std::int64_t fused_iterations = 1;  ///< h for this pass
+  /// extended_tile_boxes(program, tile, fused_iterations).
+  std::vector<Box> extended;
 
   // Timing parameters (one entry per program stage).
   std::vector<double> stage_cycles_per_element;  ///< II_s / N_PE per stage
@@ -121,7 +173,8 @@ class TileTask final : public ocl::KernelTask {
 
   StepResult step() override;
   std::int64_t clock() const override { return clock_; }
-  const std::string& name() const override { return name_; }
+  /// "tile(x,y,z)", built on first use.
+  const std::string& name() const override;
 
   const PhaseBreakdown& phases() const { return phases_; }
   std::int64_t cells_owned() const { return cells_owned_; }
@@ -143,31 +196,31 @@ class TileTask final : public ocl::KernelTask {
     kDone,
   };
 
-  /// Protocol position of a strip: lexicographic (iteration, stage).
-  struct StripKey {
-    std::int64_t iter = 0;
-    int stage = 0;
-    friend auto operator<=>(const StripKey&, const StripKey&) = default;
+  /// One outgoing strip of the current stage.
+  struct Send {
+    PipeChannel* channel = nullptr;
+    std::int64_t volume = 0;
+    std::size_t progress = 0;  ///< elements sent so far
+    std::vector<float> data;   ///< functional mode only
   };
 
-  /// One boundary strip expected from (or owed by) a neighbor.
-  struct Strip {
-    StripKey key;
-    int field = 0;
-    Face face{0, -1};
-    Box box;
-    std::vector<float> data;
-    std::size_t progress = 0;      ///< elements drained/sent so far
-    std::int64_t ready_clock = 0;  ///< availability time of drained data
-
-    std::int64_t volume() const { return box.volume(); }
-    bool complete() const {
-      return static_cast<std::int64_t>(progress) >= volume();
-    }
+  /// Receive state of one incoming pipe, as cursors into its schedule.
+  /// Strips [applied, expected) are queued in protocol order: those below
+  /// `drained` are complete, strip `drained` holds `progress` elements.
+  /// Only strips whose stage has started are expected, so a FIFO never
+  /// drains ahead of the receiver's protocol position.
+  struct Inbox {
+    std::size_t applied = 0;
+    std::size_t drained = 0;
+    std::size_t expected = 0;
+    std::int64_t progress = 0;
+    /// Per strip: availability of its last drained element.
+    std::vector<std::int64_t> ready_clock;
+    /// Per strip payload (functional mode only).
+    std::vector<std::vector<float>> data;
   };
 
   // --- geometry helpers ---
-  Box extended_box(const TilePlacement& placement, std::int64_t i) const;
   /// Compute box of `stage` at fused iteration `i` from current validity.
   Box compute_box(int stage, std::int64_t i) const;
   /// Splits `c` into the independent core and the dependent strips along
@@ -189,22 +242,15 @@ class TileTask final : public ocl::KernelTask {
   void commit_stage_output();
   /// Charges the stage's cycles for `box` and returns them.
   std::int64_t charge_compute(const Box& box, bool with_depth);
+  bool tracing() const { return params_.trace != nullptr; }
   /// Appends [begin, clock_) to the trace sink (no-op without one).
-  void record(const std::string& phase, std::int64_t begin);
+  void record(std::string_view phase, std::int64_t begin);
   /// Moves available FIFO data into pending strip buffers without applying
   /// it (safe at any time; called opportunistically on send backpressure).
   void drain_face(int d, int side);
   /// Highest strip key stage (iter_, stage_) depends on across `face`,
   /// or nullopt when the stage reads nothing across it.
   std::optional<StripKey> needed_key(int d, int side) const;
-
-  /// True if some stage after `stage` reads `field` into a halo on
-  /// `halo_side` (0 = low, 1 = high) of dimension `d` — i.e. whether the
-  /// strip emitted after `stage` in the final fused iteration would ever
-  /// be consumed. Sender and receiver apply the same predicate so the
-  /// pipes never accumulate strips nobody reads.
-  bool strip_is_consumed(int field, int d, int halo_side, int stage,
-                         std::int64_t iter) const;
 
   const scl::stencil::StencilProgram& program() const {
     return *params_.program;
@@ -216,7 +262,7 @@ class TileTask final : public ocl::KernelTask {
   }
 
   TileTaskParams params_;
-  std::string name_;
+  mutable std::string name_;
   State state_ = State::kLaunch;
   std::int64_t clock_ = 0;
   PhaseBreakdown phases_;
@@ -237,17 +283,19 @@ class TileTask final : public ocl::KernelTask {
   Box independent_box_;
   std::vector<Box> dependent_boxes_;
 
-  // Outgoing strips of the current stage.
-  std::vector<Strip> sends_;
+  // Outgoing strips of the current stage, and per face the next
+  // out-channel schedule entry.
+  std::vector<Send> sends_;
+  std::array<std::array<std::size_t, 2>, 3> send_next_{};
   std::size_t send_cursor_ = 0;
   /// Independent-compute cycles of the current stage still available to
   /// hide pipe-write time behind (paper §3.1 latency hiding).
   std::int64_t overlap_budget_ = 0;
 
-  // Incoming strips, per face, in protocol order. Front entries fill as
-  // FIFOs drain; entries are applied (written to the halo) only when a
-  // dependent compute requires their key.
-  std::array<std::array<std::deque<Strip>, 2>, 3> incoming_;
+  // Incoming strips per face. They fill as FIFOs drain and are applied
+  // (written to the halo) only when a dependent compute requires their
+  // key.
+  std::array<std::array<Inbox, 2>, 3> inboxes_;
 
   std::int64_t cells_owned_ = 0;
   std::int64_t cells_redundant_ = 0;

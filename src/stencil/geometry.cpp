@@ -26,60 +26,6 @@ Box Box::from_extents(int dims, const std::array<std::int64_t, 3>& extents) {
   return box;
 }
 
-bool Box::empty() const {
-  for (int d = 0; d < kMaxDims; ++d) {
-    if (hi[d] <= lo[d]) return true;
-  }
-  return false;
-}
-
-std::int64_t Box::volume() const {
-  if (empty()) return 0;
-  std::int64_t v = 1;
-  for (int d = 0; d < kMaxDims; ++d) v *= hi[d] - lo[d];
-  return v;
-}
-
-std::int64_t Box::extent(int d) const {
-  SCL_DCHECK(d >= 0 && d < kMaxDims, "bad dimension");
-  return std::max<std::int64_t>(0, hi[d] - lo[d]);
-}
-
-bool Box::contains(const Index& p) const {
-  for (int d = 0; d < kMaxDims; ++d) {
-    if (p[d] < lo[d] || p[d] >= hi[d]) return false;
-  }
-  return true;
-}
-
-bool Box::contains(const Box& other) const {
-  if (other.empty()) return true;
-  for (int d = 0; d < kMaxDims; ++d) {
-    if (other.lo[d] < lo[d] || other.hi[d] > hi[d]) return false;
-  }
-  return true;
-}
-
-Box Box::intersect(const Box& other) const {
-  Box out;
-  for (int d = 0; d < kMaxDims; ++d) {
-    out.lo[d] = std::max(lo[d], other.lo[d]);
-    out.hi[d] = std::min(hi[d], other.hi[d]);
-  }
-  return out;
-}
-
-Box Box::grown(const Face& face, std::int64_t amount) const {
-  SCL_DCHECK(face.dim >= 0 && face.dim < kMaxDims, "bad face dim");
-  Box out = *this;
-  if (face.dir < 0) {
-    out.lo[face.dim] -= amount;
-  } else {
-    out.hi[face.dim] += amount;
-  }
-  return out;
-}
-
 Box Box::grown_all(int dims, std::int64_t amount) const {
   Box out = *this;
   for (int d = 0; d < dims; ++d) {

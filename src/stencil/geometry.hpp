@@ -6,6 +6,7 @@
 // written three levels deep without branching on dimensionality.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -43,26 +44,64 @@ struct Box {
   /// Box covering [0, extent_d) per dimension; unused dims get extent 1.
   static Box from_extents(int dims, const std::array<std::int64_t, 3>& extents);
 
+  // The trivial queries below are inline: the timing simulator calls
+  // them on every step of every tile kernel.
+
   /// True if the box contains no cells.
-  bool empty() const;
+  bool empty() const {
+    return hi[0] <= lo[0] || hi[1] <= lo[1] || hi[2] <= lo[2];
+  }
 
   /// Number of cells (0 if empty).
-  std::int64_t volume() const;
+  std::int64_t volume() const {
+    if (empty()) return 0;
+    return (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]);
+  }
 
   /// Extent along dimension d (0 if empty along d).
-  std::int64_t extent(int d) const;
+  std::int64_t extent(int d) const {
+    SCL_DCHECK(d >= 0 && d < kMaxDims, "bad dimension");
+    return std::max<std::int64_t>(0, hi[d] - lo[d]);
+  }
 
   /// True if `p` lies inside the box.
-  bool contains(const Index& p) const;
+  bool contains(const Index& p) const {
+    for (int d = 0; d < kMaxDims; ++d) {
+      if (p[d] < lo[d] || p[d] >= hi[d]) return false;
+    }
+    return true;
+  }
 
   /// True if `other` is fully inside this box.
-  bool contains(const Box& other) const;
+  bool contains(const Box& other) const {
+    if (other.empty()) return true;
+    for (int d = 0; d < kMaxDims; ++d) {
+      if (other.lo[d] < lo[d] || other.hi[d] > hi[d]) return false;
+    }
+    return true;
+  }
 
   /// Intersection (possibly empty).
-  Box intersect(const Box& other) const;
+  Box intersect(const Box& other) const {
+    Box out;
+    for (int d = 0; d < kMaxDims; ++d) {
+      out.lo[d] = std::max(lo[d], other.lo[d]);
+      out.hi[d] = std::min(hi[d], other.hi[d]);
+    }
+    return out;
+  }
 
   /// Box grown by `amount` cells on face (d, dir); negative shrinks.
-  Box grown(const Face& face, std::int64_t amount) const;
+  Box grown(const Face& face, std::int64_t amount) const {
+    SCL_DCHECK(face.dim >= 0 && face.dim < kMaxDims, "bad face dim");
+    Box out = *this;
+    if (face.dir < 0) {
+      out.lo[face.dim] -= amount;
+    } else {
+      out.hi[face.dim] += amount;
+    }
+    return out;
+  }
 
   /// Box grown by `amount` on every face of the first `dims` dimensions.
   Box grown_all(int dims, std::int64_t amount) const;

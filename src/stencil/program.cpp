@@ -149,6 +149,21 @@ StencilProgram::StencilProgram(std::string name, int dims,
       iter_radii_ = max_radii(iter_radii_, shrink[static_cast<std::size_t>(f)]);
     }
   }
+
+  // Updatable region per field: the grid inset by its writer's read radii
+  // (empty for constant fields, which are never updated).
+  updated_boxes_.assign(fields_.size(), Box{});
+  for (int f = 0; f < field_count(); ++f) {
+    const int s = writing_stage(f);
+    if (s < 0) continue;
+    const SideRadii& radii = stage_radii_[static_cast<std::size_t>(s)];
+    Box& box = updated_boxes_[static_cast<std::size_t>(f)];
+    box = grid_box_;
+    for (int d = 0; d < dims_; ++d) {
+      box.lo[d] += radii[static_cast<std::size_t>(d)][0];
+      box.hi[d] -= radii[static_cast<std::size_t>(d)][1];
+    }
+  }
 }
 
 std::int64_t StencilProgram::max_radius() const {
@@ -158,18 +173,6 @@ std::int64_t StencilProgram::max_radius() const {
                   iter_radii_[static_cast<std::size_t>(d)][1]});
   }
   return r;
-}
-
-Box StencilProgram::updated_box(int f) const {
-  const int s = writing_stage(f);
-  if (s < 0) return Box{};  // constant field: nothing is ever updated
-  const SideRadii& radii = stage_radii_[static_cast<std::size_t>(s)];
-  Box box = grid_box_;
-  for (int d = 0; d < dims_; ++d) {
-    box.lo[d] += radii[static_cast<std::size_t>(d)][0];
-    box.hi[d] -= radii[static_cast<std::size_t>(d)][1];
-  }
-  return box;
 }
 
 OpCounts StencilProgram::ops_per_cell() const {

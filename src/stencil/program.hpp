@@ -169,8 +169,10 @@ class StencilProgram {
   /// Region of the grid whose cells are ever written by field `f`'s stage
   /// (the grid box shrunk by that stage's read radii). Cells outside it are
   /// Dirichlet boundary: they keep their initial value forever. For constant
-  /// fields this is empty.
-  Box updated_box(int f) const;
+  /// fields this is empty. Computed once when the program is built.
+  const Box& updated_box(int f) const {
+    return updated_boxes_.at(static_cast<std::size_t>(f));
+  }
 
   /// Total floating-point op counts of one full iteration applied to one
   /// cell (summed over stages).
@@ -196,6 +198,7 @@ class StencilProgram {
   std::vector<SideRadii> stage_radii_;
   std::vector<SideRadii> stage_shrink_;
   std::vector<SideRadii> field_read_radii_;
+  std::vector<Box> updated_boxes_;
   SideRadii iter_radii_;
   SideRadii max_stage_radii_;
 };

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "core/framework.hpp"
+#include "core/report.hpp"
+#include "fpga/device.hpp"
+#include "sim/executor.hpp"
 #include "stencil/kernels.hpp"
+#include "support/observability/observability.hpp"
 
 namespace scl::core {
 namespace {
@@ -219,6 +223,65 @@ TEST(FrameworkTest, SimulationAndCodegenAreOptional) {
   EXPECT_EQ(rep.baseline_sim.total_cycles, 0);
   EXPECT_EQ(rep.speedup, 0.0);
   EXPECT_TRUE(rep.code.kernel_source.empty());
+}
+
+/// Synthesizes `kernel` at paper scale on `device` (no verification, no
+/// code) with observability on; returns the report and how far the run
+/// moved scl_sim_runs_total.
+std::pair<SynthesisReport, std::int64_t> synthesize_counting_sims(
+    const std::string& kernel, const std::string& device) {
+  const auto p = scl::stencil::find_benchmark(kernel).make_paper_scale();
+  FrameworkOptions opts;
+  opts.optimizer.device = fpga::find_device(device);
+  opts.analyze = false;
+  opts.generate_code = false;
+  const bool was_enabled = support::obs::enabled();
+  support::obs::set_enabled(true);
+  auto& runs = support::obs::metrics().counter(
+      "scl_sim_runs_total", "device simulations executed");
+  const std::int64_t before = runs.value();
+  SynthesisReport report = Framework(p, opts).synthesize();
+  const std::int64_t ran = runs.value() - before;
+  support::obs::set_enabled(was_enabled);
+  return {std::move(report), ran};
+}
+
+TEST(FrameworkTest, SimMetricsCountEveryFamily) {
+  // Three distinct designs, temporal included: three simulations counted.
+  const auto [rep, runs] = synthesize_counting_sims("Jacobi-2D", "xc7vx690t");
+  ASSERT_TRUE(rep.temporal.has_value());
+  ASSERT_NE(rep.heterogeneous.config.key(), rep.baseline.config.key());
+  EXPECT_EQ(runs, 3);
+  EXPECT_GT(rep.temporal_sim.total_cycles, 0);
+}
+
+TEST(FrameworkTest, BaselineStandInIsSimulatedOnce) {
+  // No heterogeneous Jacobi-1D design fits xcu280's cap, so the baseline
+  // stands in for it: the same design, simulated once for both roles.
+  const auto [rep, runs] = synthesize_counting_sims("Jacobi-1D", "xcu280");
+  ASSERT_EQ(rep.heterogeneous.config.key(), rep.baseline.config.key());
+  ASSERT_TRUE(rep.temporal.has_value());
+  EXPECT_EQ(runs, 2);
+
+  // The reused result is exactly what a second simulation would give, so
+  // the report (and the artifact built from it) cannot change.
+  const auto p = scl::stencil::find_benchmark("Jacobi-1D").make_paper_scale();
+  SynthesisReport fresh = rep;
+  fresh.heterogeneous_sim =
+      sim::Executor(rep.device)
+          .run(p, rep.heterogeneous.config, sim::SimMode::kTimingOnly);
+  const sim::SimResult& a = rep.heterogeneous_sim;
+  const sim::SimResult& b = fresh.heterogeneous_sim;
+  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  EXPECT_EQ(a.total_ms, b.total_ms);
+  EXPECT_EQ(a.phases.to_string(), b.phases.to_string());
+  EXPECT_EQ(a.phases.total(), b.phases.total());
+  EXPECT_EQ(a.region_executions, b.region_executions);
+  EXPECT_EQ(a.cells_owned, b.cells_owned);
+  EXPECT_EQ(a.cells_redundant, b.cells_redundant);
+  EXPECT_EQ(a.pipe_elements, b.pipe_elements);
+  EXPECT_EQ(a.global_memory_bytes, b.global_memory_bytes);
+  EXPECT_EQ(render_markdown_report(rep), render_markdown_report(fresh));
 }
 
 TEST(FrameworkTest, EvaluateBypassesDse) {
