@@ -1,11 +1,10 @@
-// Design-space-exploration speed: searches/sec, candidates evaluated,
-// lower bounds computed and parallel speedup of the full DSE.
+// Design-space-exploration speed: searches/sec, candidates evaluated and
+// lower bounds computed by the full DSE.
 //
 // For every benchmark of Table 2 at the paper's input scale, runs the
 // full DSE across both design families — the pipe-tiling searches
 // (baseline + heterogeneous under the baseline's budget) and the
-// temporal-blocked shift-register search — serially and at increasing
-// thread counts. Each (thread count, family) pair gets two rows:
+// temporal-blocked shift-register search. Each family gets two rows:
 //
 //   cold — a fresh optimizer (empty eval cache): the real search cost.
 //   warm — the same searches replayed on the same optimizer, so every
@@ -14,17 +13,16 @@
 //          actually exercises the hit path (a cold run is ~all misses).
 //
 // Before any timing is trusted, the chosen designs — in both families —
-// are asserted bit-identical across thread counts AND with
-// branch-and-bound pruning disabled — the two halves of the determinism
-// contract.
+// are asserted bit-identical with branch-and-bound pruning disabled (the
+// determinism contract).
 //
-// After the thread sweep, an HBM device leg runs one serial cold DSE
-// per multi-bank part (xcu280, s10mx) per benchmark: those devices open
-// the spatial-replication axis (R PE copies on disjoint bank groups),
-// so their candidate spaces — and throughputs — differ from the DDR
-// rows above. Their JSON rows carry a "device" field, which the perf
-// gate folds into the key and treats as load-bearing: a vanished
-// device row fails CI even at sub-floor wall times.
+// An HBM device leg then runs one cold DSE per multi-bank part (xcu280,
+// s10mx) per benchmark: those devices open the spatial-replication axis
+// (R PE copies on disjoint bank groups), so their candidate spaces — and
+// throughputs — differ from the DDR rows above. Their JSON rows carry a
+// "device" field, which the perf gate folds into the key and treats as
+// load-bearing: a vanished device row fails CI even at sub-floor wall
+// times.
 //
 // Wall time covers each whole search — bounding, seeding and evaluation
 // — so searches_per_sec (1 / wall_seconds) credits a search that
@@ -32,15 +30,11 @@
 // throughput.
 //
 // Output: a human-readable table on stdout plus one JSON row per
-// (kernel, thread count, mode, family[, device]) appended to
-// BENCH_dse.json in the working directory, for the benchmark
-// trajectory.
+// (kernel, mode, family[, device]) appended to BENCH_dse.json in the
+// working directory, for the benchmark trajectory.
 //
 //   --json <file>      write rows there instead, truncating first (the
 //                      perf-gate baselines want a fresh file per run)
-//   --threads <list>   comma-separated thread counts (default: 1,2,4,8
-//                      clamped to the hardware); the serial run always
-//                      happens first as the determinism/speedup base
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -52,7 +46,6 @@
 #include "stencil/kernels.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -145,7 +138,7 @@ double searches_per_sec(const scl::core::DseStats& stats) {
 
 std::string json_row(const std::string& kernel, const char* mode,
                      const char* family, const scl::core::DseStats& stats,
-                     double speedup, const std::string& device = "",
+                     const std::string& device = "",
                      int replication = 0) {
   // Rows on the default device carry no "device" field so historical
   // perf-gate keys stay stable; device-tagged rows get a suffixed key
@@ -159,7 +152,6 @@ std::string json_row(const std::string& kernel, const char* mode,
   return scl::str_cat(
       "{\"bench\":\"dse\",\"kernel\":\"", kernel, "\",\"mode\":\"", mode,
       "\",\"family\":\"", family, "\"", device_field,
-      ",\"threads\":", stats.threads,
       ",\"candidates\":", stats.candidates_evaluated,
       ",\"pruned\":", stats.candidates_pruned,
       ",\"bounded\":", stats.candidates_bounded,
@@ -167,7 +159,6 @@ std::string json_row(const std::string& kernel, const char* mode,
       ",\"wall_seconds\":", scl::format_fixed(stats.wall_seconds, 4),
       ",\"searches_per_sec\":",
       scl::format_fixed(searches_per_sec(stats), 1),
-      ",\"speedup_vs_serial\":", scl::format_fixed(speedup, 3),
       replication_field, "}");
 }
 
@@ -175,40 +166,20 @@ std::string json_row(const std::string& kernel, const char* mode,
 
 int main(int argc, char** argv) {
   std::string json_path;
-  std::vector<int> requested_threads;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      for (const std::string& tok : scl::split(argv[++i], ',')) {
-        const int t = std::stoi(tok);
-        if (t < 1) {
-          std::cerr << "--threads wants counts >= 1\n";
-          return 2;
-        }
-        requested_threads.push_back(t);
-      }
     } else {
-      std::cerr << "usage: bench_dse [--json <file>] [--threads <list>]\n";
+      std::cerr << "usage: bench_dse [--json <file>]\n";
       return 2;
     }
   }
 
-  std::cout << "==== DSE throughput: parallel candidate evaluation ====\n\n";
-  const int max_threads = scl::ThreadPool::resolve_threads(0);
-  std::vector<int> thread_counts = requested_threads;
-  if (thread_counts.empty()) {
-    thread_counts.push_back(1);
-    for (const int t : {2, 4, 8}) {
-      if (t <= max_threads) thread_counts.push_back(t);
-    }
-  }
-  std::cout << "hardware threads available: " << max_threads << "\n\n";
-
-  scl::TableWriter table({"Benchmark", "Threads", "Mode", "Family",
-                          "Candidates", "Pruned", "Bounded", "Cache hits",
-                          "Wall (s)", "Searches/s", "Speedup"});
+  std::cout << "==== DSE throughput: candidate evaluation ====\n\n";
+  scl::TableWriter table({"Benchmark", "Mode", "Family", "Candidates",
+                          "Pruned", "Bounded", "Cache hits", "Wall (s)",
+                          "Searches/s"});
   std::ofstream json(json_path.empty() ? "BENCH_dse.json" : json_path,
                      json_path.empty() ? std::ios::app : std::ios::trunc);
   bool deterministic = true;
@@ -217,88 +188,52 @@ int main(int argc, char** argv) {
        scl::stencil::paper_benchmarks()) {
     const scl::stencil::StencilProgram program = info.make_paper_scale();
 
-    scl::core::OptimizerOptions serial_options;
-    serial_options.threads = 1;
-    const scl::core::Optimizer serial_optimizer(program, serial_options);
-    DseRun serial_cold;
+    const scl::core::OptimizerOptions options;
+    const scl::core::Optimizer optimizer(program, options);
+    DseRun cold;
     try {
-      serial_cold = run_searches(serial_optimizer);
+      cold = run_searches(optimizer);
     } catch (const scl::Error& e) {
       std::cout << info.name << ": FAILED (" << e.what() << ")\n";
       continue;
     }
-    const DseRun serial_warm = run_searches(serial_optimizer);
+    const DseRun warm = run_searches(optimizer);
 
-    // Determinism half 2: branch-and-bound may only skip candidates that
-    // provably cannot win, so the exhaustive search must choose the
-    // byte-identical designs.
-    scl::core::OptimizerOptions exhaustive_options = serial_options;
+    // Branch-and-bound may only skip candidates that provably cannot
+    // win, so the exhaustive search must choose the byte-identical
+    // designs.
+    scl::core::OptimizerOptions exhaustive_options = options;
     exhaustive_options.prune = false;
     const scl::core::Optimizer exhaustive(program, exhaustive_options);
-    if (!same_designs(run_searches(exhaustive), serial_cold)) {
+    if (!same_designs(run_searches(exhaustive), cold)) {
       std::cout << info.name
                 << ": NONDETERMINISTIC — pruning changed the optimum\n";
       deterministic = false;
     }
 
-    for (const int threads : thread_counts) {
-      DseRun cold;
-      DseRun warm;
-      if (threads == 1) {
-        cold = serial_cold;
-        warm = serial_warm;
-      } else {
-        scl::core::OptimizerOptions options;
-        options.threads = threads;
-        const scl::core::Optimizer optimizer(program, options);
-        cold = run_searches(optimizer);
-        warm = run_searches(optimizer);
-        if (!same_designs(cold, serial_cold)) {
-          std::cout << info.name << ": NONDETERMINISTIC at " << threads
-                    << " threads\n";
-          deterministic = false;
-        }
-      }
-      // Speedups compare like with like: cold vs serial cold, warm vs
-      // serial warm — per family, since the two searches sweep spaces of
-      // very different sizes.
-      auto speedup_vs = [](const scl::core::DseStats& run,
-                           const scl::core::DseStats& base) {
-        return run.wall_seconds > 0.0 ? base.wall_seconds / run.wall_seconds
-                                      : 0.0;
-      };
-      const struct {
-        const char* mode;
-        const char* family;
-        const scl::core::DseStats* stats;
-        double speedup;
-      } rows[] = {
-          {"cold", "pipe-tiling", &cold.spatial_stats,
-           speedup_vs(cold.spatial_stats, serial_cold.spatial_stats)},
-          {"cold", "temporal-shift", &cold.temporal_stats,
-           speedup_vs(cold.temporal_stats, serial_cold.temporal_stats)},
-          {"warm", "pipe-tiling", &warm.spatial_stats,
-           speedup_vs(warm.spatial_stats, serial_warm.spatial_stats)},
-          {"warm", "temporal-shift", &warm.temporal_stats,
-           speedup_vs(warm.temporal_stats, serial_warm.temporal_stats)},
-      };
-      for (const auto& row : rows) {
-        const scl::core::DseStats& stats = *row.stats;
-        table.add_row(
-            {info.name, std::to_string(threads), row.mode, row.family,
-             std::to_string(stats.candidates_evaluated),
-             std::to_string(stats.candidates_pruned),
-             std::to_string(stats.candidates_bounded),
-             scl::str_cat(scl::format_fixed(100.0 * stats.cache_hit_rate(), 1),
-                          "%"),
-             scl::format_fixed(stats.wall_seconds, 3),
-             scl::format_fixed(searches_per_sec(stats), 1),
-             scl::format_speedup(row.speedup)});
-        if (json) {
-          json << json_row(info.name, row.mode, row.family, stats,
-                           row.speedup)
-               << "\n";
-        }
+    const struct {
+      const char* mode;
+      const char* family;
+      const scl::core::DseStats* stats;
+    } rows[] = {
+        {"cold", "pipe-tiling", &cold.spatial_stats},
+        {"cold", "temporal-shift", &cold.temporal_stats},
+        {"warm", "pipe-tiling", &warm.spatial_stats},
+        {"warm", "temporal-shift", &warm.temporal_stats},
+    };
+    for (const auto& row : rows) {
+      const scl::core::DseStats& stats = *row.stats;
+      table.add_row(
+          {info.name, row.mode, row.family,
+           std::to_string(stats.candidates_evaluated),
+           std::to_string(stats.candidates_pruned),
+           std::to_string(stats.candidates_bounded),
+           scl::str_cat(scl::format_fixed(100.0 * stats.cache_hit_rate(), 1),
+                        "%"),
+           scl::format_fixed(stats.wall_seconds, 3),
+           scl::format_fixed(searches_per_sec(stats), 1)});
+      if (json) {
+        json << json_row(info.name, row.mode, row.family, stats) << "\n";
       }
     }
   }
@@ -307,9 +242,9 @@ int main(int argc, char** argv) {
 
   // HBM device leg: the replication axis (spatial PE copies on disjoint
   // bank groups) only opens on multi-bank parts, so every row above —
-  // all on the default DDR board — leaves it unexercised. One serial
-  // cold DSE per HBM part per benchmark pins the throughput of the
-  // widened space, plus the replication factor each winner settled on.
+  // all on the default DDR board — leaves it unexercised. One cold DSE
+  // per HBM part per benchmark pins the throughput of the widened space,
+  // plus the replication factor each winner settled on.
   // These rows carry a "device" field; scripts/perf_gate.py folds it
   // into the key and fails hard when a tagged row goes missing.
   std::cout << "==== HBM device leg: replicated design spaces ====\n\n";
@@ -321,7 +256,6 @@ int main(int argc, char** argv) {
          scl::stencil::paper_benchmarks()) {
       const scl::stencil::StencilProgram program = info.make_paper_scale();
       scl::core::OptimizerOptions options;
-      options.threads = 1;
       options.device = scl::fpga::find_device(device_name);
       const scl::core::Optimizer optimizer(program, options);
       DseRun cold;
@@ -363,7 +297,7 @@ int main(int argc, char** argv) {
              scl::format_fixed(searches_per_sec(stats), 1),
              std::to_string(row.replication)});
         if (json) {
-          json << json_row(info.name, "cold", row.family, stats, 1.0,
+          json << json_row(info.name, "cold", row.family, stats,
                            device_name, row.replication)
                << "\n";
         }
@@ -373,14 +307,11 @@ int main(int argc, char** argv) {
   std::cout << hbm_table.to_text() << "\n";
 
   std::cout << (deterministic
-                    ? "determinism: all thread counts (and pruning on/off) "
-                      "chose identical designs\n"
+                    ? "determinism: pruning on and off chose identical "
+                      "designs\n"
                     : "determinism: FAILED — see rows above\n")
             << "\nNotes: cold rows start from an empty eval cache (the real\n"
                "search cost); warm rows replay the same searches against the\n"
-               "populated cache (the memoization ceiling). Speedup compares\n"
-               "against the serial row of the same mode and is bounded by\n"
-               "the machine's core count (see 'hardware threads available'\n"
-               "above).\n";
+               "populated cache (the memoization ceiling).\n";
   return deterministic ? 0 : 1;
 }

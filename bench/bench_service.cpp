@@ -36,12 +36,12 @@
 #include <vector>
 
 #include "serve/daemon.hpp"
+#include "serve/scheduler.hpp"
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
 #include "stencil/kernels.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
-#include "support/thread_pool.hpp"
 
 namespace fs = std::filesystem;
 
@@ -296,7 +296,7 @@ int main(int argc, char** argv) {
       std::ofstream out(json_path);
       out << scl::str_cat(
                  "{\"bench\":\"service\",\"threads\":",
-                 scl::ThreadPool::resolve_threads(threads),
+                 scl::serve::resolve_threads(threads),
                  ",\"jobs\":", jobs.size(),
                  ",\"cold_ms\":", scl::format_fixed(cold_ms, 3),
                  ",\"warm_ms\":", scl::format_fixed(warm_ms, 3),
@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
           << "\n";
       out << scl::str_cat(
                  "{\"bench\":\"service\",\"mode\":\"daemon\",\"threads\":",
-                 scl::ThreadPool::resolve_threads(threads),
+                 scl::serve::resolve_threads(threads),
                  ",\"jobs\":", jobs.size(),
                  ",\"cold_ms\":", scl::format_fixed(daemon.cold_ms, 3),
                  ",\"warm_ms\":", scl::format_fixed(daemon.warm_ms, 3),

@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
       const scl::stencil::StencilProgram program = info.make_paper_scale();
       scl::core::FrameworkOptions options;
       options.optimizer.device = scl::fpga::find_device(device_name);
-      options.optimizer.threads = 1;
       options.simulate = false;
       options.analyze = false;
       const scl::core::SynthesisReport report =

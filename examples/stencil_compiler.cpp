@@ -23,10 +23,6 @@
 //                         pass-4 coverage summary under "ir", and the DSE
 //                         summary — candidates evaluated/pruned and the
 //                         retained latency/BRAM Pareto front — under "dse"
-//   --deep-ir             with the DSE verifier: generate each evaluated
-//                         candidate's OpenCL and run the pass-4 kernel-IR
-//                         checks on it, filtering candidates with errors
-//                         (slow; implies per-candidate analysis)
 //   --dump-stencil        print the program in .stencil form and exit
 //   --list                list built-in benchmarks and devices, exit
 //   --trace-out <file>    enable observability; write a Chrome trace_event
@@ -61,7 +57,7 @@ int usage() {
       << "usage: stencil_compiler <input.stencil | benchmark-name> "
          "[--device <name>] [--family auto|pipe-tiling|temporal-shift] "
          "[--emit <dir>] [--no-sim] [--analyze] "
-         "[--analyze-json] [--deep-ir] [--dump-stencil] [--list] "
+         "[--analyze-json] [--dump-stencil] [--list] "
          "[--trace-out <file>] [--metrics-out <file>]\n";
   return 2;
 }
@@ -134,7 +130,6 @@ struct ToolConfig {
   bool dump = false;
   bool analyze = false;
   bool analyze_json = false;
-  bool deep_ir = false;
   scl::frontend::OpenClImportOptions ocl_options;
 };
 
@@ -159,10 +154,6 @@ int run_tool(const ToolConfig& cfg) {
   options.family = cfg.family;
   options.simulate = cfg.simulate && !cfg.analyze && !cfg.analyze_json;
   options.generate_code = true;
-  if (cfg.deep_ir) {
-    options.optimizer.analyze_candidates = true;
-    options.optimizer.deep_ir_analysis = true;
-  }
   // The analyze modes render diagnostics themselves instead of letting
   // the framework abort on the first error.
   options.fail_on_analysis_error = !cfg.analyze && !cfg.analyze_json;
@@ -283,8 +274,6 @@ int main(int argc, char** argv) {
       cfg.analyze = true;
     } else if (arg == "--analyze-json") {
       cfg.analyze_json = true;
-    } else if (arg == "--deep-ir") {
-      cfg.deep_ir = true;
     } else if (arg == "--dump-stencil") {
       cfg.dump = true;
     } else if (flag_with_value(arg, "--trace-out", argc, argv, i, &value)) {

@@ -5,12 +5,6 @@
 # for every bundled .stencil example. `stencil_compiler --analyze` exits
 # nonzero when any error-severity diagnostic fires, so this script is a
 # pure fan-out; CI runs it as the `analyzer-clean` job.
-#
-# Beyond the DSE optimum that --analyze verifies by default, --deep-ir
-# re-runs the kernel-IR analysis over every candidate configuration the
-# optimizer evaluates, so near-optimal candidates (the ones a future
-# heuristic tweak might promote) are covered too — that is the "sampled
-# candidates" half of the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,16 +62,6 @@ for family in pipe-tiling temporal-shift; do
       --no-sim > /dev/null
     checked=$((checked + 1))
   done
-done
-
-# Deep candidate sweep on one device: every evaluated DSE candidate's
-# emitted kernels go through the kernel-IR analysis, not just the
-# optimum. One device keeps the job inside CI budget; the per-device
-# loop above already covers device-dependent codegen at the optimum.
-for input in "${BENCHMARKS[@]}"; do
-  echo "deep-ir candidate sweep: $input"
-  "$COMPILER" "$input" --analyze --deep-ir --no-sim > /dev/null
-  checked=$((checked + 1))
 done
 
 echo "analyzer-clean: $checked configuration(s) verified, zero errors"

@@ -260,23 +260,4 @@ std::vector<DesignConfig> CandidateSpace::heterogeneous_candidates(
   return out;
 }
 
-std::vector<CandidateSpace::ChainBlock> CandidateSpace::blocks(
-    const std::vector<CandidateChain>& chains, std::int64_t grain_configs) {
-  std::vector<ChainBlock> out;
-  if (chains.empty()) return out;
-  const std::int64_t grain = grain_configs < 1 ? 1 : grain_configs;
-  std::size_t begin = 0;
-  std::int64_t accumulated = 0;
-  for (std::size_t i = 0; i < chains.size(); ++i) {
-    accumulated += static_cast<std::int64_t>(chains[i].configs.size());
-    if (accumulated >= grain) {
-      out.emplace_back(begin, i + 1);
-      begin = i + 1;
-      accumulated = 0;
-    }
-  }
-  if (begin < chains.size()) out.emplace_back(begin, chains.size());
-  return out;
-}
-
 }  // namespace scl::core

@@ -10,27 +10,26 @@
 // Enumeration order is part of the contract: chains are emitted
 // replication-major (spatial PE copies, ascending), then parallelism,
 // then unroll, then tile shape, with fusion depth ascending inside each
-// chain. The serial and the parallel evaluation paths both consume this
-// exact order. On single-bank (DDR) devices the replication axis is the
-// singleton {1}, so their enumeration order — and hence every DDR
-// optimum — is bit-identical to the pre-replication space.
+// chain. The evaluation engine consumes this exact order. On single-bank
+// (DDR) devices the replication axis is the singleton {1}, so their
+// enumeration order — and hence every DDR optimum — is bit-identical to
+// the pre-replication space.
 //
 // Cross-family tie-break. With two design families in the space
 // (arch/family.hpp), order stability must also hold *across* families:
 // when a pipe-tiling and a temporal-shift design predict identical cost
 // vectors, the winner must not depend on which family's search ran
-// first or on evaluation thread count. The contract is: the family word
-// leads the DesignKey (sim/design.cpp), kPipeTiling = 0 before
-// kTemporalShift = 1, so the deterministic ordering
-// (core::design_order's final key comparison) always prefers the
-// pipe-tiling design on exact ties. temporal_chains() follows the same
-// per-family shape as chains(): unroll-major (vector width V), then
-// strip width ascending, temporal degree T ascending inside each chain.
+// first. The contract is: the family word leads the DesignKey
+// (sim/design.cpp), kPipeTiling = 0 before kTemporalShift = 1, so the
+// deterministic ordering (core::design_order's final key comparison)
+// always prefers the pipe-tiling design on exact ties. temporal_chains()
+// follows the same per-family shape as chains(): unroll-major (vector
+// width V), then strip width ascending, temporal degree T ascending
+// inside each chain.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "sim/design.hpp"
@@ -131,18 +130,6 @@ class CandidateSpace {
   /// points whose shrink collapses to the shrink=0 candidate are skipped.
   std::vector<sim::DesignConfig> heterogeneous_candidates(
       const sim::DesignConfig& baseline) const;
-
-  /// Half-open chain index range [first, second) forming one evaluation
-  /// block.
-  using ChainBlock = std::pair<std::size_t, std::size_t>;
-
-  /// Partitions `chains` into contiguous blocks holding at least
-  /// `grain_configs` candidates each (the last block may be smaller, and
-  /// a single oversized chain forms its own block). Pure function of the
-  /// inputs, so the engine's chunked chain walk keeps the contract
-  /// enumeration order per block.
-  static std::vector<ChainBlock> blocks(
-      const std::vector<CandidateChain>& chains, std::int64_t grain_configs);
 
  private:
   const scl::stencil::StencilProgram* program_;

@@ -3,8 +3,6 @@
 // lightweight consumers do not pull in the whole search stack.
 #pragma once
 
-#include <cstdint>
-
 #include "core/resource_estimator.hpp"
 #include "model/perf_model.hpp"
 #include "sim/design.hpp"
@@ -16,16 +14,12 @@ struct DesignPoint {
   sim::DesignConfig config;
   model::Prediction prediction;
   DesignResources resources;
-  /// Error diagnostics from the candidate verifier (0 when verification
-  /// is off or the design is clean).
-  std::int64_t analysis_errors = 0;
 };
 
 /// The total deterministic design ordering: predicted latency, then the
 /// resource vector (BRAM18, FF, LUT, DSP), then the canonical config key.
 /// No two distinct configs compare equal, so any selection or sort that
-/// uses this order is independent of enumeration and thread scheduling.
-/// Shared by the serial and parallel search paths. (Defined in
+/// uses this order is independent of enumeration order. (Defined in
 /// optimizer.cpp.)
 bool design_order(const DesignPoint& a, const DesignPoint& b);
 

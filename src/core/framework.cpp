@@ -87,9 +87,14 @@ SynthesisReport Framework::synthesize() const {
     report.analysis.merge(verify_design(*program_, report.baseline.config,
                                         report.device,
                                         report.baseline.resources));
-    report.analysis.merge(verify_design(*program_, report.heterogeneous.config,
-                                        report.device,
-                                        report.heterogeneous.resources));
+    // A baseline standing in for the heterogeneous design (see the DSE
+    // above) is the same design: verify it once.
+    if (report.heterogeneous.config.key() != report.baseline.config.key()) {
+      report.analysis.merge(verify_design(*program_,
+                                          report.heterogeneous.config,
+                                          report.device,
+                                          report.heterogeneous.resources));
+    }
     if (report.temporal) {
       report.analysis.merge(verify_design(*program_, report.temporal->config,
                                           report.device,
@@ -183,8 +188,8 @@ std::string SynthesisReport::to_string() const {
     out += str_cat("DSE: ", format_thousands(dse.candidates_evaluated),
                    " candidates, ",
                    format_fixed(100.0 * dse.cache_hit_rate(), 1),
-                   "% cache hits, ", dse.threads, " thread(s), ",
-                   format_fixed(dse.wall_seconds, 2), " s\n");
+                   "% cache hits, ", format_fixed(dse.wall_seconds, 2),
+                   " s\n");
   }
   return out;
 }

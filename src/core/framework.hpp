@@ -75,14 +75,13 @@ struct SynthesisReport {
                : heterogeneous;
   }
 
-  /// DSE evaluation counters over both searches: candidates evaluated,
-  /// pruned, cache hit rate, throughput, wall-clock, worker threads.
+  /// DSE evaluation counters over every search: candidates evaluated,
+  /// pruned, cache hit rate, throughput, wall-clock.
   DseStats dse;
 
   /// The (cycles, BRAM18) Pareto front of the feasible designs the
   /// searches evaluated (Optimizer::retained_frontier()): the trade-off
-  /// curve around the reported optimum. Deterministic for any thread
-  /// count.
+  /// curve around the reported optimum.
   std::vector<DesignPoint> frontier;
 
   // Measured (simulated) results; valid when options.simulate.

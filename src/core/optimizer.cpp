@@ -127,8 +127,7 @@ Optimizer::Optimizer(const StencilProgram& program, OptimizerOptions options)
       options_(std::move(options)),
       space_(program, options_),
       bound_model_(program, options_.device),
-      engine_(program, options_.device, options_.cone_mode, options_.threads,
-              options_.analyze_candidates, options_.deep_ir_analysis) {
+      engine_(program, options_.device, options_.cone_mode) {
   SCL_CHECK(options_.resource_fraction > 0.0 &&
                 options_.resource_fraction <= 1.0,
             "resource fraction must be in (0, 1]");
@@ -153,9 +152,7 @@ std::vector<DesignPoint> Optimizer::explore(DesignKind kind) const {
 
 DesignPoint Optimizer::select_best(
     const std::vector<DesignPoint>& feasible) const {
-  // Running-best scan over the deterministic enumeration order. The scan
-  // itself is serial (and cheap); all evaluation already happened on the
-  // pool, so the result cannot depend on thread scheduling.
+  // Running-best scan over the deterministic enumeration order.
   const DesignPoint* best = nullptr;
   for (const DesignPoint& point : feasible) {
     if (best == nullptr || better_design(point, *best)) best = &point;
@@ -168,9 +165,9 @@ std::optional<DesignPoint> Optimizer::branch_and_bound(
     const std::function<BoundedSpace()>& bound_space,
     const std::function<DesignConfig(std::int64_t)>& config_at,
     std::int64_t chain_length, const fpga::ResourceVector& cap) const {
-  // Phase A (serial, hence deterministic for any thread count): bound the
-  // space, find a feasible incumbent by walking the most promising bounds
-  // first, and decide the kept set from bounds alone.
+  // Phase A: bound the space, find a feasible incumbent by walking the
+  // most promising bounds first, and decide the kept set from bounds
+  // alone.
   std::vector<std::int64_t> kept;
   std::optional<DesignPoint> seed;
   {
@@ -203,7 +200,6 @@ std::optional<DesignPoint> Optimizer::branch_and_bound(
         batch.push_back(config_at(unpopped->index));
       }
       for (const DesignPoint& point : engine_.evaluate_batch(batch)) {
-        if (point.analysis_errors > 0) continue;
         if (!point.resources.total.fits_within(cap)) continue;
         seed = point;
         break;
@@ -227,7 +223,7 @@ std::optional<DesignPoint> Optimizer::branch_and_bound(
     engine_.add_pruned(pruned);
     if (!seed) return std::nullopt;  // exhaustively infeasible
   }
-  // Phase B: evaluate the kept subsets in enumeration order on the pool.
+  // Phase B: evaluate the kept subsets in enumeration order.
   // Candidates outside the kept set either cannot fit (resource floor)
   // or have exact latency >= their bound > kPruneMargin x incumbent >=
   // kPruneMargin x optimum, far beyond the near-tie band, so the
@@ -274,7 +270,7 @@ DesignPoint Optimizer::optimize_baseline() const {
              << after.candidates_evaluated - before.candidates_evaluated
              << " candidates evaluated, "
              << after.candidates_pruned - before.candidates_pruned
-             << " pruned on " << engine_.threads() << " thread(s)";
+             << " pruned";
   if (!best) {
     throw ResourceError(
         str_cat("no baseline design for '", program_->name(),
@@ -302,7 +298,7 @@ DesignPoint Optimizer::optimize_temporal() const {
              << after.candidates_evaluated - before.candidates_evaluated
              << " candidates evaluated, "
              << after.candidates_pruned - before.candidates_pruned
-             << " pruned on " << engine_.threads() << " thread(s)";
+             << " pruned";
   if (!best) {
     throw ResourceError(
         str_cat("no temporal-shift design for '", program_->name(),
@@ -345,7 +341,6 @@ DesignPoint Optimizer::optimize_heterogeneous(
     std::vector<DesignPoint> feasible;
     feasible.reserve(points.size());
     for (const DesignPoint& point : points) {
-      if (point.analysis_errors > 0) continue;
       if (point.resources.total.fits_within(cap)) feasible.push_back(point);
     }
     for (const DesignPoint& point : feasible) retained_.insert(point);
@@ -356,7 +351,7 @@ DesignPoint Optimizer::optimize_heterogeneous(
              << after.candidates_evaluated - before.candidates_evaluated
              << " candidates evaluated, "
              << after.candidates_pruned - before.candidates_pruned
-             << " pruned on " << engine_.threads() << " thread(s)";
+             << " pruned";
   if (!best) {
     throw ResourceError(
         str_cat("no heterogeneous design for '", program_->name(),

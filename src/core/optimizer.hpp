@@ -14,11 +14,11 @@
 //    the model.
 //
 // Internally the search is split into a pure CandidateSpace enumerator
-// and a parallel, memoizing EvaluationEngine (see candidate_space.hpp,
-// evaluation_engine.hpp). Candidates are evaluated concurrently on a
-// thread pool, collected in enumeration order, and selected by an
-// explicit deterministic comparator — so explore results, Pareto
-// frontiers and best() are bit-identical for any thread count.
+// and a memoizing EvaluationEngine (see candidate_space.hpp,
+// evaluation_engine.hpp). Candidates are evaluated on the calling thread
+// in enumeration order and selected by an explicit deterministic
+// comparator, so explore results, Pareto frontiers and best() depend
+// only on the program and the options.
 #pragma once
 
 #include <functional>
@@ -60,24 +60,9 @@ struct OptimizerOptions {
   /// Candidate edge-shrink values for workload balancing.
   std::vector<std::int64_t> shrink_candidates{0, 1, 2, 4, 8};
   model::ConeMode cone_mode = model::ConeMode::kRefined;
-  /// Worker threads for candidate evaluation. <= 0 resolves via the
-  /// SCL_THREADS environment variable, then hardware concurrency.
+  /// Ignored: candidate evaluation runs on the calling thread. Kept only
+  /// because perfbench/common.cpp still assigns it.
   int threads = 0;
-  /// Run the static design verifier (pipe graph + halo/bounds passes) on
-  /// every evaluated candidate and drop candidates with error
-  /// diagnostics from the feasible set. Off by default: the shipped
-  /// candidate spaces are verified clean, so the per-candidate cost only
-  /// pays off when exploring hand-extended spaces.
-  bool analyze_candidates = false;
-  /// Deep per-candidate verification: additionally generate the
-  /// candidate's OpenCL and run the pass-4 kernel-IR abstract
-  /// interpretation (SCL4xx) on it, folding error diagnostics into the
-  /// same feasibility filter as analyze_candidates. Far more expensive
-  /// (full codegen per candidate); only meaningful together with
-  /// analyze_candidates. The emitted designs verify clean, so with a
-  /// healthy emitter the chosen optimum is bit-identical with this on or
-  /// off (tested in tests/ir_test.cpp).
-  bool deep_ir_analysis = false;
   /// Branch-and-bound pruning for the optimize_* searches: admissible
   /// lower bounds (model/lower_bound.hpp) discard candidates that
   /// provably cannot beat a deterministically chosen incumbent. The
@@ -153,8 +138,7 @@ class Optimizer {
   std::vector<DesignPoint> pareto_frontier(sim::DesignKind kind) const;
 
   /// Every budget-feasible design of `kind`, in enumeration order — the
-  /// raw material of pareto_frontier() and optimize_baseline(). The list
-  /// is bit-identical for any thread count.
+  /// raw material of pareto_frontier() and optimize_baseline().
   std::vector<DesignPoint> explore(sim::DesignKind kind) const;
 
   /// The resource budget configurations must fit
@@ -174,7 +158,7 @@ class Optimizer {
   /// (bounds more than kPruneMargin above the incumbent are discarded
   /// unevaluated) — the high-latency/low-BRAM tail of the exhaustive
   /// frontier is intentionally absent; pareto_frontier() computes the
-  /// full curve. Deterministic for any thread count.
+  /// full curve.
   const std::vector<DesignPoint>& retained_frontier() const {
     return retained_.points();
   }
@@ -194,12 +178,12 @@ class Optimizer {
   /// Branch-and-bound under resource cap `cap` over a space whose
   /// candidates are enumeration indices: `bound_space` bounds it (Phase
   /// A), `config_at` builds the config of an index, and runs of
-  /// `chain_length` consecutive indices form one chain. A serial,
-  /// deterministic seed/keep phase is followed by one parallel chain
-  /// evaluation of the kept subsets (which preserves the monotone early
-  /// exit on over-budget depth tails). Returns the same design the
-  /// exhaustive filter-and-select path returns, or nullopt when nothing
-  /// feasible exists. Feasible points feed retained_.
+  /// `chain_length` consecutive indices form one chain. A seed/keep phase
+  /// is followed by one chain evaluation of the kept subsets (which
+  /// preserves the monotone early exit on over-budget depth tails).
+  /// Returns the same design the exhaustive filter-and-select path
+  /// returns, or nullopt when nothing feasible exists. Feasible points
+  /// feed retained_.
   std::optional<DesignPoint> branch_and_bound(
       const std::function<BoundedSpace()>& bound_space,
       const std::function<sim::DesignConfig(std::int64_t)>& config_at,

@@ -151,7 +151,6 @@ std::string render_markdown_report(const SynthesisReport& report,
     table.add_row({"candidates pruned",
                    format_thousands(report.dse.candidates_pruned)});
     if (options.include_timing) {
-      table.add_row({"worker threads", std::to_string(report.dse.threads)});
       table.add_row({"wall-clock",
                      str_cat(format_fixed(report.dse.wall_seconds, 3), " s")});
       table.add_row({"candidates/sec",

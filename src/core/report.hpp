@@ -14,10 +14,9 @@
 namespace scl::core {
 
 struct MarkdownReportOptions {
-  /// Include the timing rows of the DSE section (worker threads,
-  /// wall-clock, candidates/sec). The synthesis artifact store renders
-  /// with false: stored reports must be byte-deterministic across runs,
-  /// machines and thread counts.
+  /// Include the timing rows of the DSE section (wall-clock,
+  /// candidates/sec). The synthesis artifact store renders with false:
+  /// stored reports must be byte-deterministic across runs and machines.
   bool include_timing = true;
 };
 

@@ -123,8 +123,8 @@ struct ChainTerms {
   double region_cycles = 0.0;
 };
 
-/// Re-entrant like PerfModel: all state is immutable after construction,
-/// so concurrent bound() calls need no locking.
+/// Like PerfModel, all state is immutable after construction, so bound()
+/// is a pure function of the config.
 class LowerBoundModel {
  public:
   LowerBoundModel(const scl::stencil::StencilProgram& program,

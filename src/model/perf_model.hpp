@@ -44,20 +44,17 @@ struct Prediction {
   double l_tile = 0.0;           ///< slowest kernel's region latency
 };
 
-/// Re-entrancy contract: PerfModel holds only read-only references (the
-/// program, the device spec, the mode) and predict() keeps all working
-/// state on the stack — concurrent predict() calls on one instance, or on
-/// per-worker instances sharing the same program, need no locking. The
-/// parallel design-space exploration (core::EvaluationEngine) relies on
-/// this; do not add mutable caches here without a lock (memoization
-/// belongs in core::EvalCache).
+/// PerfModel holds only read-only references (the program, the device
+/// spec, the mode) and predict() keeps all working state on the stack, so
+/// predict() is a pure function of the config. Memoization belongs in
+/// core::EvalCache, not here.
 class PerfModel {
  public:
   PerfModel(const scl::stencil::StencilProgram& program,
             fpga::DeviceSpec device, ConeMode mode = ConeMode::kRefined);
 
   /// Predicts the latency of `config` (Eq. 1: N_region * max_k L_tile_k).
-  /// Pure and re-entrant (see the class contract above).
+  /// Pure (see the class contract above).
   Prediction predict(const sim::DesignConfig& config) const;
 
   /// Convenience: predicted cycles only.

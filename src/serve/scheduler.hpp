@@ -1,7 +1,7 @@
 // Coalescing async request scheduler.
 //
-// A fixed set of request pumps (long-lived ThreadPool::submit jobs) drains
-// a priority queue of keyed work items. The piece that makes it a serving
+// A fixed set of request pumps (one std::thread each) drains a priority
+// queue of keyed work items. The piece that makes it a serving
 // component rather than a thread pool wrapper is in-flight deduplication:
 // submitting a key that is already queued *or* running returns the
 // existing shared future instead of scheduling a second computation, so N
@@ -16,15 +16,19 @@
 // (callers own cancellation above this layer, if they need it).
 //
 // Shutdown is a graceful drain: the destructor stops accepting work,
-// lets the pumps finish everything already queued, then joins them
-// (ThreadPool workers also drain their own queue on destruction — see
-// thread_pool.hpp). submit() after shutdown began throws.
+// lets the pumps finish everything already queued, then joins them.
+// submit() after shutdown began throws.
+//
+// This is where the process's parallelism lives: each pump runs whole
+// requests (a synthesis searches its design space on the pump's own
+// thread), so N pumps serve N requests at once.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <future>
 #include <memory>
@@ -32,15 +36,33 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "support/error.hpp"
 #include "support/observability/observability.hpp"
-#include "support/thread_pool.hpp"
 
 namespace scl::serve {
+
+/// Resolves a requested worker count: `requested` >= 1 wins, else the
+/// SCL_THREADS environment variable (when it parses as an integer >= 1),
+/// else hardware concurrency (>= 1). Clamped to 256: more pumps never
+/// help and would fail thread creation with an obscure system error.
+inline int resolve_threads(int requested) {
+  constexpr int kMaxThreads = 256;
+  if (requested >= 1) return std::min(requested, kMaxThreads);
+  if (const char* env = std::getenv("SCL_THREADS")) {
+    char* end = nullptr;
+    const long parsed = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && parsed >= 1) {
+      return static_cast<int>(std::min<long>(parsed, kMaxThreads));
+    }
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw >= 1 ? static_cast<int>(hw) : 1;
+}
 
 struct SchedulerStats {
   std::int64_t submitted = 0;  ///< requests accepted (incl. coalesced)
@@ -62,15 +84,18 @@ class Scheduler {
     bool coalesced = false;
   };
 
-  /// `threads` <= 0 resolves via SCL_THREADS / hardware concurrency.
-  /// The scheduler owns `threads` request pumps (and a ThreadPool with
-  /// one extra slot, since pool workers host the pumps).
+  /// The scheduler owns `threads` request pumps; `threads` <= 0
+  /// resolves via resolve_threads().
   explicit Scheduler(int threads = 0)
-      : pump_count_(ThreadPool::resolve_threads(threads)),
-        pool_(std::make_unique<ThreadPool>(pump_count_ + 1)) {
-    pumps_alive_ = pump_count_;
-    for (int p = 0; p < pump_count_; ++p) {
-      pool_->submit([this] { pump(); });
+      : pump_count_(resolve_threads(threads)) {
+    pumps_.reserve(static_cast<std::size_t>(pump_count_));
+    try {
+      for (int p = 0; p < pump_count_; ++p) {
+        pumps_.emplace_back([this] { pump(); });
+      }
+    } catch (...) {
+      shutdown();  // join the pumps already started
+      throw;
     }
   }
 
@@ -173,11 +198,9 @@ class Scheduler {
       stopping_ = true;
     }
     work_cv_.notify_all();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      idle_cv_.wait(lock, [&] { return pumps_alive_ == 0; });
+    for (std::thread& pump : pumps_) {
+      if (pump.joinable()) pump.join();
     }
-    pool_.reset();  // joins the (now pump-free) workers
   }
 
   int worker_count() const { return pump_count_; }
@@ -267,8 +290,6 @@ class Scheduler {
         if (pending_.empty() && running_ == 0) idle_cv_.notify_all();
       }
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (--pumps_alive_ == 0) idle_cv_.notify_all();
   }
 
   const int pump_count_;
@@ -278,11 +299,11 @@ class Scheduler {
   std::set<RequestPtr, DispatchOrder> pending_;
   std::unordered_map<std::string, RequestPtr> inflight_;
   int running_ = 0;
-  int pumps_alive_ = 0;
   bool stopping_ = false;
   std::uint64_t next_seq_ = 0;
   SchedulerStats stats_;
-  std::unique_ptr<ThreadPool> pool_;
+  /// Declared last: the pumps start once every other member exists.
+  std::vector<std::thread> pumps_;
 };
 
 }  // namespace scl::serve

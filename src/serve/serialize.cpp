@@ -221,7 +221,8 @@ void write_design_point(JsonWriter* json, const core::DesignPoint& point) {
   write_prediction(json, point.prediction);
   json->key("resources");
   write_design_resources(json, point.resources);
-  json->member("analysis_errors", point.analysis_errors);
+  // Kept until the next schema bump so artifact bytes do not move.
+  json->member("analysis_errors", std::int64_t{0});
   json->end_object();
 }
 
@@ -230,7 +231,6 @@ core::DesignPoint parse_design_point(const JsonValue& v) {
   point.config = parse_design_config(v.at("config"));
   point.prediction = parse_prediction(v.at("prediction"));
   point.resources = parse_design_resources(v.at("resources"));
-  point.analysis_errors = v.at("analysis_errors").as_int64();
   return point;
 }
 
@@ -401,10 +401,8 @@ std::string request_fingerprint(const std::string& canonical_program,
   write_scalar_list(&json, "shrink_candidates", opt.shrink_candidates);
   write_scalar_list(&json, "replication_candidates", opt.replication_candidates);
   json.member("cone_mode", static_cast<std::int64_t>(opt.cone_mode));
-  json.member("analyze_candidates", opt.analyze_candidates);
-  // ThreadPool sizing is deliberately absent: DSE results are
-  // bit-identical at any thread count (the determinism contract), so a
-  // different worker count must map to the same content address.
+  // Kept until the next schema bump so content addresses do not move.
+  json.member("analyze_candidates", false);
   json.member("simulate", options.simulate);
   json.member("generate_code", options.generate_code);
   json.member("analyze", options.analyze);

@@ -19,8 +19,8 @@
 // The content address of a request is a 128-bit hash (two FNV-1a-64
 // passes) over a canonical fingerprint string of: the program's `.stencil`
 // round-trip text, the full device spec, every synthesis option that can
-// change the result, and kCodeVersion. Worker thread counts are excluded
-// (the DSE is bit-deterministic across thread counts by construction).
+// change the result, and kCodeVersion. Service worker counts are excluded:
+// each search runs serially, whichever worker picks it up.
 #pragma once
 
 #include <cstdint>

@@ -13,12 +13,9 @@
 // lambdas) get an empty key: they bypass the store and never coalesce,
 // but still flow through the scheduler like every other job.
 //
-// Synthesis inside a service worker runs its DSE serially (the nested-
-// parallelism guard in support::ThreadPool degrades inner parallel_for
-// to a loop) — the service scales across concurrent *jobs* instead, which
-// is the right shape for batch traffic. ServiceOptions therefore defaults
-// the per-job optimizer to one thread so Frameworks do not spawn workers
-// that would sit idle.
+// Each synthesis runs on the scheduler pump that picked it up; the
+// service scales across concurrent *jobs*, which is the right shape for
+// batch traffic.
 //
 // The service exports counters: store hits/misses, coalesced requests,
 // evictions, synthesis failures, and request-turnaround p50/p95 — as a
@@ -67,11 +64,6 @@ struct ServiceOptions {
   int threads = 0;
   /// Per-job synthesis configuration (device, DSE candidates, flags).
   core::FrameworkOptions framework;
-
-  ServiceOptions() {
-    // Parallelism lives across jobs here; see the header comment.
-    framework.optimizer.threads = 1;
-  }
 };
 
 struct JobRequest {

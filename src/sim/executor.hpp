@@ -71,9 +71,8 @@ struct SimTuning {
 /// Re-entrancy contract: an Executor holds only the immutable device spec
 /// and tuning knobs; run() and trace_region() build all simulation state
 /// (region grids, tile tasks, pipes, field sets) on the stack per call.
-/// Concurrent timing-only runs on one instance — or on per-worker
-/// instances, as the parallel DSE path uses them — are safe without
-/// locking as long as the shared program and device are not mutated.
+/// Concurrent timing-only runs on one instance are safe without locking
+/// as long as the shared program and device are not mutated.
 class Executor {
  public:
   explicit Executor(fpga::DeviceSpec device, SimTuning tuning = SimTuning{})

@@ -2,6 +2,7 @@
 
 #include "core/framework.hpp"
 #include "core/report.hpp"
+#include "core/verify.hpp"
 #include "fpga/device.hpp"
 #include "sim/executor.hpp"
 #include "stencil/kernels.hpp"
@@ -225,47 +226,76 @@ TEST(FrameworkTest, SimulationAndCodegenAreOptional) {
   EXPECT_TRUE(rep.code.kernel_source.empty());
 }
 
-/// Synthesizes `kernel` at paper scale on `device` (no verification, no
-/// code) with observability on; returns the report and how far the run
-/// moved scl_sim_runs_total.
-std::pair<SynthesisReport, std::int64_t> synthesize_counting_sims(
-    const std::string& kernel, const std::string& device) {
+struct CountedSynthesis {
+  SynthesisReport report;
+  std::int64_t sim_runs = 0;      ///< how far scl_sim_runs_total moved
+  std::int64_t verify_spans = 0;  ///< analysis/verify_design spans
+};
+
+/// Synthesizes `kernel` at paper scale on `device` (verification passes
+/// 1-3, no code) with observability on, counting simulations and design
+/// verifications.
+CountedSynthesis synthesize_counting(const std::string& kernel,
+                                     const std::string& device) {
   const auto p = scl::stencil::find_benchmark(kernel).make_paper_scale();
   FrameworkOptions opts;
   opts.optimizer.device = fpga::find_device(device);
-  opts.analyze = false;
   opts.generate_code = false;
   const bool was_enabled = support::obs::enabled();
   support::obs::set_enabled(true);
+  support::obs::tracer().clear();
   auto& runs = support::obs::metrics().counter(
       "scl_sim_runs_total", "device simulations executed");
   const std::int64_t before = runs.value();
-  SynthesisReport report = Framework(p, opts).synthesize();
-  const std::int64_t ran = runs.value() - before;
+  CountedSynthesis out;
+  out.report = Framework(p, opts).synthesize();
+  out.sim_runs = runs.value() - before;
+  for (const support::obs::SpanRecord& span :
+       support::obs::tracer().snapshot()) {
+    if (span.name == "analysis/verify_design") ++out.verify_spans;
+  }
   support::obs::set_enabled(was_enabled);
-  return {std::move(report), ran};
+  return out;
 }
 
 TEST(FrameworkTest, SimMetricsCountEveryFamily) {
-  // Three distinct designs, temporal included: three simulations counted.
-  const auto [rep, runs] = synthesize_counting_sims("Jacobi-2D", "xc7vx690t");
+  // Three distinct designs, temporal included: each is simulated and
+  // verified once.
+  const auto [rep, runs, verifies] =
+      synthesize_counting("Jacobi-2D", "xc7vx690t");
   ASSERT_TRUE(rep.temporal.has_value());
   ASSERT_NE(rep.heterogeneous.config.key(), rep.baseline.config.key());
   EXPECT_EQ(runs, 3);
+  EXPECT_EQ(verifies, 3);
   EXPECT_GT(rep.temporal_sim.total_cycles, 0);
 }
 
 TEST(FrameworkTest, BaselineStandInIsSimulatedOnce) {
   // No heterogeneous Jacobi-1D design fits xcu280's cap, so the baseline
-  // stands in for it: the same design, simulated once for both roles.
-  const auto [rep, runs] = synthesize_counting_sims("Jacobi-1D", "xcu280");
+  // stands in for it: the same design, simulated and verified once for
+  // both roles.
+  const auto [rep, runs, verifies] =
+      synthesize_counting("Jacobi-1D", "xcu280");
   ASSERT_EQ(rep.heterogeneous.config.key(), rep.baseline.config.key());
   ASSERT_TRUE(rep.temporal.has_value());
   EXPECT_EQ(runs, 2);
+  EXPECT_EQ(verifies, 2);
+
+  // Verifying the stand-in a second time adds nothing here: the analysis
+  // equals the one that merges all three roles.
+  const auto p = scl::stencil::find_benchmark("Jacobi-1D").make_paper_scale();
+  support::DiagnosticEngine every_role;
+  for (const DesignPoint* point :
+       {&rep.baseline, &rep.heterogeneous, &*rep.temporal}) {
+    every_role.merge(
+        verify_design(p, point->config, rep.device, point->resources));
+  }
+  EXPECT_EQ(rep.analysis.render_text(), every_role.render_text());
+  EXPECT_EQ(rep.analysis.diagnostics().size(),
+            every_role.diagnostics().size());
 
   // The reused result is exactly what a second simulation would give, so
   // the report (and the artifact built from it) cannot change.
-  const auto p = scl::stencil::find_benchmark("Jacobi-1D").make_paper_scale();
   SynthesisReport fresh = rep;
   fresh.heterogeneous_sim =
       sim::Executor(rep.device)

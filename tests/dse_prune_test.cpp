@@ -2,7 +2,7 @@
 //
 //   * the pruned search must choose designs byte-identical to the
 //     exhaustive search on every suite kernel (the pruning-correctness
-//     half of the determinism contract; thread-count invariance lives in
+//     half of the determinism contract; repeat-run stability lives in
 //     dse_determinism_test.cpp),
 //   * LowerBoundModel must be admissible — never above the exact model —
 //     across whole candidate spaces of every suite kernel, both cone
@@ -90,7 +90,6 @@ TEST(DsePruneTest, PrunedOptimumMatchesExhaustiveOnEverySuiteKernel) {
     for (const char* device : {"xc7vx690t", "xcu280", "s10mx"}) {
       const std::string what = info.name + " on " + device;
       OptimizerOptions pruned_options;
-      pruned_options.threads = 2;
       pruned_options.prune = true;
       pruned_options.device = fpga::find_device(device);
       OptimizerOptions exhaustive_options = pruned_options;
@@ -134,12 +133,11 @@ TEST(DsePruneTest, PrunedOptimumMatchesExhaustiveOnEverySuiteKernel) {
 
 TEST(DsePruneTest, SeedBatchCandidatesAreNeverCountedAsPruned) {
   // Phase A evaluates whole seed batches; a batch member past the first
-  // feasible one is evaluated, so it must not also count as pruned. On
-  // one thread every distinct evaluation is exactly one cache miss.
+  // feasible one is evaluated, so it must not also count as pruned.
+  // Every distinct evaluation is exactly one cache miss.
   for (const BenchmarkInfo& info : scl::stencil::paper_benchmarks()) {
     const StencilProgram program = scaled(info);
     OptimizerOptions options;
-    options.threads = 1;
     const Optimizer optimizer(program, options);
     (void)optimizer.optimize_baseline();
     std::int64_t total = 0;
@@ -157,7 +155,6 @@ TEST(DsePruneTest, LowerBoundIsAdmissibleAcrossBaselineSpaces) {
   for (const char* name : {"Jacobi-2D", "HotSpot-3D", "FDTD-2D"}) {
     const StencilProgram program = scaled(scl::stencil::find_benchmark(name));
     OptimizerOptions options;
-    options.threads = 1;
     const Optimizer optimizer(program, options);
     const model::LowerBoundModel bound_model(program, options.device);
     std::int64_t checked = 0;
@@ -187,7 +184,6 @@ TEST(DsePruneTest, LowerBoundIsAdmissibleAcrossHbmReplicatedSpaces) {
     const StencilProgram program =
         scaled(scl::stencil::find_benchmark("Jacobi-2D"));
     OptimizerOptions options;
-    options.threads = 1;
     options.device = device;
     const Optimizer optimizer(program, options);
     const model::LowerBoundModel bound_model(program, options.device);
@@ -223,7 +219,6 @@ TEST(DsePruneTest, HbmPrunedOptimumMatchesExhaustive) {
   const StencilProgram program =
       scaled(scl::stencil::find_benchmark("Jacobi-2D"));
   OptimizerOptions pruned_options;
-  pruned_options.threads = 2;
   pruned_options.prune = true;
   pruned_options.device = fpga::alveo_u280();
   OptimizerOptions exhaustive_options = pruned_options;
@@ -260,7 +255,6 @@ TEST(DsePruneTest, DdrDevicesKeepTheSingletonReplicationAxis) {
       scaled(scl::stencil::find_benchmark("Jacobi-2D"));
   for (const char* name : {"xc7vx690t", "xc7vx485t", "xcku115"}) {
     OptimizerOptions options;
-    options.threads = 1;
     options.device = fpga::find_device(name);
     const Optimizer optimizer(program, options);
     EXPECT_EQ(optimizer.space().replication_factors(),
@@ -284,7 +278,6 @@ TEST(DsePruneTest, LowerBoundIsAdmissibleForHeterogeneousCandidates) {
   const StencilProgram program =
       scaled(scl::stencil::find_benchmark("HotSpot-2D"));
   OptimizerOptions options;
-  options.threads = 1;
   const Optimizer optimizer(program, options);
   const DesignPoint baseline = optimizer.optimize_baseline();
   const model::LowerBoundModel bound_model(program, options.device);
@@ -303,29 +296,19 @@ TEST(DsePruneTest, LowerBoundIsAdmissibleForHeterogeneousCandidates) {
   EXPECT_GT(checked, 10);
 }
 
-TEST(DsePruneTest, RetainedFrontierIsDeterministicAcrossThreadCounts) {
+TEST(DsePruneTest, RetainedFrontierIsAStaircase) {
   const StencilProgram program =
       scaled(scl::stencil::find_benchmark("Jacobi-3D"));
-  auto frontier_at = [&](int threads) {
-    OptimizerOptions options;
-    options.threads = threads;
-    const Optimizer optimizer(program, options);
-    const DesignPoint baseline = optimizer.optimize_baseline();
-    (void)optimizer.optimize_heterogeneous(baseline);
-    return optimizer.retained_frontier();
-  };
-  const std::vector<DesignPoint> serial = frontier_at(1);
-  const std::vector<DesignPoint> parallel = frontier_at(8);
-  ASSERT_FALSE(serial.empty());
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_identical(serial[i], parallel[i], "frontier point");
-  }
-  // Staircase invariant: design_order-sorted, bram18 strictly decreasing.
-  for (std::size_t i = 1; i < serial.size(); ++i) {
-    EXPECT_TRUE(design_order(serial[i - 1], serial[i]));
-    EXPECT_LT(serial[i].resources.total.bram18,
-              serial[i - 1].resources.total.bram18);
+  const Optimizer optimizer(program, OptimizerOptions{});
+  const DesignPoint baseline = optimizer.optimize_baseline();
+  (void)optimizer.optimize_heterogeneous(baseline);
+  const std::vector<DesignPoint>& frontier = optimizer.retained_frontier();
+  ASSERT_FALSE(frontier.empty());
+  // design_order-sorted, bram18 strictly decreasing.
+  for (std::size_t i = 1; i < frontier.size(); ++i) {
+    EXPECT_TRUE(design_order(frontier[i - 1], frontier[i]));
+    EXPECT_LT(frontier[i].resources.total.bram18,
+              frontier[i - 1].resources.total.bram18);
   }
 }
 
@@ -537,7 +520,6 @@ TEST_P(LowerBoundSweepTest, GroupWalkKeepsExactlyTheFittingFloors) {
   const StencilProgram program = info.make_paper_scale();
   for (const char* device_name : {"xc7vx690t", "xcu280", "s10mx"}) {
     OptimizerOptions options;
-    options.threads = 1;
     options.device = fpga::find_device(device_name);
     const Optimizer optimizer(program, options);
     const model::LowerBoundModel bound_model(program, options.device);
@@ -616,7 +598,6 @@ TEST(DsePruneTest, PaperScaleBaselineCandidateCountsArePinned) {
     const StencilProgram program =
         scl::stencil::find_benchmark(pin.kernel).make_paper_scale();
     OptimizerOptions options;
-    options.threads = 1;
     options.device = fpga::find_device(pin.device);
     const Optimizer optimizer(program, options);
     (void)optimizer.optimize_baseline();

@@ -2,13 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <vector>
 
 #include "core/optimizer.hpp"
 #include "stencil/kernels.hpp"
-#include "support/thread_pool.hpp"
 
 namespace scl::core {
 namespace {
@@ -129,71 +127,6 @@ TEST(EvalCacheTest, ClearResetsContentsAndCounters) {
   EXPECT_EQ(cache.hits(), 0);
   EXPECT_EQ(cache.misses(), 0);
   EXPECT_FALSE(cache.lookup(key, &out));
-}
-
-TEST(EvalCacheTest, ConcurrentFindOrComputeConverges) {
-  EvalCache cache;
-  ThreadPool pool(8);
-  const int n = 512;
-  std::vector<double> results(static_cast<std::size_t>(n));
-  pool.parallel_for(n, [&](std::int64_t i) {
-    // 16 distinct keys, hammered from 8 threads.
-    const DesignKey key = sample_config(1 + (i % 16)).key();
-    results[static_cast<std::size_t>(i)] =
-        cache
-            .find_or_compute(key,
-                             [&] { return fake_eval(100.0 + (i % 16)); })
-            .prediction.total_cycles;
-  });
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], 100.0 + (i % 16));
-  }
-  EXPECT_EQ(cache.size(), 16);
-  EXPECT_EQ(cache.hits() + cache.misses(), n);
-}
-
-TEST(EvalCacheTest, ConcurrentInsertersDedupeExactly) {
-  // 8 threads hammer insert() on 16 shared keys: size() must stay exact
-  // — one winner per key. TSan runs this in CI.
-  EvalCache cache;
-  ThreadPool pool(8);
-  std::atomic<int> winners{0};
-  pool.parallel_for(512, [&](std::int64_t i) {
-    const DesignKey key = sample_config(1 + (i % 16)).key();
-    if (cache.insert(key, fake_eval(100.0 + (i % 16)))) {
-      winners.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(cache.size(), 16);
-  EXPECT_EQ(winners.load(), 16);
-  for (int k = 0; k < 16; ++k) {
-    CachedEvaluation out;
-    ASSERT_TRUE(cache.lookup(sample_config(1 + k).key(), &out));
-    EXPECT_EQ(out.prediction.total_cycles, 100.0 + k);
-  }
-}
-
-TEST(EvalCacheTest, ConcurrentReadersSeeConsistentValues) {
-  // Readers race writers on a warm and a cold half of the key set; every
-  // observed hit must carry the full, untorn value. TSan runs this in
-  // CI.
-  EvalCache cache;
-  ThreadPool pool(8);
-  for (int k = 0; k < 8; ++k) {
-    cache.insert(sample_config(1 + k).key(), fake_eval(1000.0 + k));
-  }
-  pool.parallel_for(2048, [&](std::int64_t i) {
-    const int k = static_cast<int>(i % 16);
-    const DesignKey key = sample_config(1 + k).key();
-    CachedEvaluation out;
-    if (cache.lookup(key, &out)) {
-      EXPECT_EQ(out.prediction.total_cycles, 1000.0 + k);
-      EXPECT_EQ(out.resources.total.lut, 2);
-    } else {
-      cache.insert(key, fake_eval(1000.0 + k));
-    }
-  });
-  EXPECT_EQ(cache.size(), 16);
 }
 
 TEST(EvalCacheTest, OptimizerSearchesShareTheCache) {

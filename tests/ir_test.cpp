@@ -1,8 +1,7 @@
 // Tests for the pass-4 kernel-IR verifier (analysis/ir/): lowering the
 // emitted OpenCL subset, interval evaluation of IR expressions, golden
 // SCL4xx diagnostics on seeded-defect mini-kernels and on tampered real
-// emitter output, the analyzer-clean guarantee over the paper suite, and
-// the DSE-optimum invariance of the opt-in deep per-candidate mode.
+// emitter output, and the analyzer-clean guarantee over the paper suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include "analysis/ir/ir.hpp"
 #include "analysis/ir/lower.hpp"
 #include "codegen/opencl_emitter.hpp"
-#include "core/optimizer.hpp"
 #include "core/verify.hpp"
 #include "fpga/device.hpp"
 #include "sim/design.hpp"
@@ -485,32 +483,6 @@ TEST(IrSuiteTest, EveryBundledBenchmarkLowersAndAnalyzesClean) {
     EXPECT_EQ(diags.error_count(), 0) << diags.render_text();
     EXPECT_EQ(diags.warning_count(), 0) << diags.render_text();
   }
-}
-
-// --- deep per-candidate mode ------------------------------------------------
-
-TEST(IrDeepDseTest, OptimaAreBitIdenticalWithDeepIrOnAndOff) {
-  const scl::stencil::StencilProgram program =
-      scl::stencil::make_jacobi2d(64, 64, 16);
-
-  core::OptimizerOptions shallow;
-  shallow.analyze_candidates = true;
-  const core::Optimizer a(program, shallow);
-  const core::DesignPoint base_a = a.optimize_baseline();
-  const core::DesignPoint het_a = a.optimize_heterogeneous(base_a);
-
-  core::OptimizerOptions deep = shallow;
-  deep.deep_ir_analysis = true;
-  const core::Optimizer b(program, deep);
-  const core::DesignPoint base_b = b.optimize_baseline();
-  const core::DesignPoint het_b = b.optimize_heterogeneous(base_b);
-
-  // A healthy emitter never trips the per-candidate IR filter, so the
-  // search must select the same optima with the deep mode on or off.
-  EXPECT_EQ(base_a.config, base_b.config);
-  EXPECT_EQ(het_a.config, het_b.config);
-  EXPECT_EQ(base_a.prediction.total_cycles, base_b.prediction.total_cycles);
-  EXPECT_EQ(het_a.prediction.total_cycles, het_b.prediction.total_cycles);
 }
 
 // --- core wiring ------------------------------------------------------------

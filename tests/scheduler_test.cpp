@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <latch>
 #include <string>
 #include <thread>
@@ -315,6 +316,26 @@ TEST(SchedulerTest, StressManyKeysManyTwins) {
   const SchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.executed + stats.coalesced, 50);
   EXPECT_EQ(executions.load(), stats.executed);
+}
+
+// resolve_threads only computes a count; these cases start no threads.
+TEST(SchedulerTest, ResolveThreadsPrefersExplicitCount) {
+  EXPECT_EQ(resolve_threads(3), 3);
+  EXPECT_EQ(resolve_threads(1), 1);
+}
+
+TEST(SchedulerTest, ResolveThreadsReadsEnvironment) {
+  ::setenv("SCL_THREADS", "5", 1);
+  EXPECT_EQ(resolve_threads(0), 5);
+  ::setenv("SCL_THREADS", "not-a-number", 1);
+  EXPECT_GE(resolve_threads(0), 1);  // falls back to hardware
+  ::setenv("SCL_THREADS", "0", 1);
+  EXPECT_GE(resolve_threads(0), 1);
+  ::setenv("SCL_THREADS", "100000", 1);
+  EXPECT_EQ(resolve_threads(0), 256);  // clamped, not fatal
+  EXPECT_EQ(resolve_threads(100000), 256);
+  ::unsetenv("SCL_THREADS");
+  EXPECT_GE(resolve_threads(0), 1);
 }
 
 }  // namespace

@@ -221,9 +221,8 @@ TEST_F(ServiceTest, IdenticalConcurrentRequestsCoalesce) {
 }
 
 TEST_F(ServiceTest, ParallelBatchOfDistinctJobsSynthesizesAll) {
-  // Regression: synthesis runs inside foreign-pool workers whose
-  // worker_slot() exceeds the per-job engine's model count — this crashed
-  // before EvaluationEngine folded the slot into range.
+  // Four pumps synthesize four distinct jobs at once, each searching its
+  // own design space on its pump's thread.
   SynthesisService service(options_with_store(/*threads=*/4));
   std::vector<JobRequest> batch;
   for (const auto& [name, extents, iters] :
@@ -403,8 +402,7 @@ TEST(RequestKeyTest, SensitiveToProgramDeviceAndOptions) {
   simulate.simulate = !simulate.simulate;
   EXPECT_NE(request_key(text, simulate), base);
 
-  // The DSE thread count must NOT change the key (bit-deterministic
-  // exploration is part of the contract).
+  // The ignored DSE thread-count field must NOT change the key.
   core::FrameworkOptions threads = options;
   threads.optimizer.threads = 7;
   EXPECT_EQ(request_key(text, threads), base);
