@@ -4,17 +4,13 @@
 // For every benchmark of Table 2 at the paper's input scale, runs the
 // full DSE across both design families — the pipe-tiling searches
 // (baseline + heterogeneous under the baseline's budget) and the
-// temporal-blocked shift-register search. Each family gets two rows:
+// temporal-blocked shift-register search. Each family gets one row, a
+// search on a fresh optimizer; its cache_hit_rate is the share of walked
+// candidates Phase B reused from the seed batches.
 //
-//   cold — a fresh optimizer (empty eval cache): the real search cost.
-//   warm — the same searches replayed on the same optimizer, so every
-//          candidate is served from the eval cache. This is the
-//          memoization ceiling, and the row whose cache_hit_rate
-//          actually exercises the hit path (a cold run is ~all misses).
-//
-// Before any timing is trusted, the chosen designs — in both families —
-// are asserted bit-identical with branch-and-bound pruning disabled (the
-// determinism contract).
+// Before any timing is trusted, every search's design — in both families
+// — is asserted bit-identical to the exhaustive oracle,
+// select_best(explore(space)) (the determinism contract).
 //
 // An HBM device leg then runs one cold DSE per multi-bank part (xcu280,
 // s10mx) per benchmark: those devices open the spatial-replication axis
@@ -30,14 +26,15 @@
 // throughput.
 //
 // Output: a human-readable table on stdout plus one JSON row per
-// (kernel, mode, family[, device]) appended to BENCH_dse.json in the
-// working directory, for the benchmark trajectory.
+// (kernel, family[, device]), all "mode":"cold", appended to
+// BENCH_dse.json in the working directory, for the benchmark trajectory.
 //
 //   --json <file>      write rows there instead, truncating first (the
 //                      perf-gate baselines want a fresh file per run)
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,32 +72,13 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// One full DSE on `optimizer` — both families — reporting only this
-/// run's stat deltas, split per family, with each family's whole-search
-/// wall time. The counters (and the cache) accumulate across runs, which
-/// is exactly what the warm-replay row wants.
-DseRun run_searches(const scl::core::Optimizer& optimizer) {
-  scl::core::DseStats mark = optimizer.dse_stats();
-  auto start = std::chrono::steady_clock::now();
-  DseRun run;
-  run.baseline = optimizer.optimize_baseline();
-  run.heterogeneous = optimizer.optimize_heterogeneous(run.baseline);
-  run.spatial_stats = diff(optimizer.dse_stats(), mark);
-  run.spatial_stats.wall_seconds = seconds_since(start);
-  mark = optimizer.dse_stats();
-  start = std::chrono::steady_clock::now();
-  run.temporal = optimizer.optimize_temporal();
-  run.temporal_stats = diff(optimizer.dse_stats(), mark);
-  run.temporal_stats.wall_seconds = seconds_since(start);
-  return run;
-}
-
-/// run_searches with heterogeneous infeasibility tolerated: on banked
+/// One full DSE on a fresh `optimizer` — both families — with the stats
+/// split per family and each family's whole-search wall time. On banked
 /// parts the baseline winner may spend the whole BRAM budget on spatial
-/// replication, leaving no pipe redistribution inside the baseline cap.
-/// The baseline then stands in as the pipe-tiling winner, matching
+/// replication, leaving no pipe redistribution inside the baseline cap;
+/// the baseline then stands in as the pipe-tiling winner, matching
 /// Framework::synthesize's fallback.
-DseRun run_searches_banked(const scl::core::Optimizer& optimizer) {
+DseRun run_searches(const scl::core::Optimizer& optimizer) {
   scl::core::DseStats mark = optimizer.dse_stats();
   auto start = std::chrono::steady_clock::now();
   DseRun run;
@@ -120,26 +98,39 @@ DseRun run_searches_banked(const scl::core::Optimizer& optimizer) {
   return run;
 }
 
-bool same_designs(const DseRun& a, const DseRun& b) {
-  return a.baseline.config == b.baseline.config &&
-         a.heterogeneous.config == b.heterogeneous.config &&
-         a.temporal.config == b.temporal.config &&
-         a.baseline.prediction.total_cycles ==
-             b.baseline.prediction.total_cycles &&
-         a.heterogeneous.prediction.total_cycles ==
-             b.heterogeneous.prediction.total_cycles &&
-         a.temporal.prediction.total_cycles ==
-             b.temporal.prediction.total_cycles;
+bool same_design(const scl::core::DesignPoint& a,
+                 const scl::core::DesignPoint& b) {
+  return a.config == b.config &&
+         a.prediction.total_cycles == b.prediction.total_cycles;
+}
+
+/// True when every search of `run` chose the design the exhaustive
+/// oracle, select_best(explore(space)), chooses on `optimizer`.
+bool matches_oracle(const scl::core::Optimizer& optimizer,
+                    const DseRun& run) {
+  auto oracle = [&](const scl::core::SearchSpace& space) {
+    const std::vector<scl::core::DesignPoint> feasible =
+        optimizer.explore(space);
+    return feasible.empty() ? std::optional<scl::core::DesignPoint>()
+                            : scl::core::select_best(feasible);
+  };
+  const auto baseline = oracle(optimizer.baseline_space());
+  const auto heterogeneous =
+      oracle(optimizer.heterogeneous_space(run.baseline));
+  const auto temporal = oracle(optimizer.temporal_space());
+  return baseline && same_design(*baseline, run.baseline) &&
+         same_design(heterogeneous.value_or(run.baseline),
+                     run.heterogeneous) &&
+         temporal && same_design(*temporal, run.temporal);
 }
 
 double searches_per_sec(const scl::core::DseStats& stats) {
   return stats.wall_seconds > 0.0 ? 1.0 / stats.wall_seconds : 0.0;
 }
 
-std::string json_row(const std::string& kernel, const char* mode,
-                     const char* family, const scl::core::DseStats& stats,
-                     const std::string& device = "",
-                     int replication = 0) {
+std::string json_row(const std::string& kernel, const char* family,
+                     const scl::core::DseStats& stats,
+                     const std::string& device = "", int replication = 0) {
   // Rows on the default device carry no "device" field so historical
   // perf-gate keys stay stable; device-tagged rows get a suffixed key
   // (and the gate fails hard when a tagged row vanishes).
@@ -150,8 +141,8 @@ std::string json_row(const std::string& kernel, const char* mode,
       replication > 0 ? scl::str_cat(",\"replication\":", replication)
                       : std::string();
   return scl::str_cat(
-      "{\"bench\":\"dse\",\"kernel\":\"", kernel, "\",\"mode\":\"", mode,
-      "\",\"family\":\"", family, "\"", device_field,
+      "{\"bench\":\"dse\",\"kernel\":\"", kernel,
+      "\",\"mode\":\"cold\",\"family\":\"", family, "\"", device_field,
       ",\"candidates\":", stats.candidates_evaluated,
       ",\"pruned\":", stats.candidates_pruned,
       ",\"bounded\":", stats.candidates_bounded,
@@ -177,7 +168,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "==== DSE throughput: candidate evaluation ====\n\n";
-  scl::TableWriter table({"Benchmark", "Mode", "Family", "Candidates",
+  scl::TableWriter table({"Benchmark", "Family", "Candidates",
                           "Pruned", "Bounded", "Cache hits", "Wall (s)",
                           "Searches/s"});
   std::ofstream json(json_path.empty() ? "BENCH_dse.json" : json_path,
@@ -197,34 +188,26 @@ int main(int argc, char** argv) {
       std::cout << info.name << ": FAILED (" << e.what() << ")\n";
       continue;
     }
-    const DseRun warm = run_searches(optimizer);
-
     // Branch-and-bound may only skip candidates that provably cannot
-    // win, so the exhaustive search must choose the byte-identical
+    // win, so the exhaustive oracle must choose the byte-identical
     // designs.
-    scl::core::OptimizerOptions exhaustive_options = options;
-    exhaustive_options.prune = false;
-    const scl::core::Optimizer exhaustive(program, exhaustive_options);
-    if (!same_designs(run_searches(exhaustive), cold)) {
+    if (!matches_oracle(optimizer, cold)) {
       std::cout << info.name
                 << ": NONDETERMINISTIC — pruning changed the optimum\n";
       deterministic = false;
     }
 
     const struct {
-      const char* mode;
       const char* family;
       const scl::core::DseStats* stats;
     } rows[] = {
-        {"cold", "pipe-tiling", &cold.spatial_stats},
-        {"cold", "temporal-shift", &cold.temporal_stats},
-        {"warm", "pipe-tiling", &warm.spatial_stats},
-        {"warm", "temporal-shift", &warm.temporal_stats},
+        {"pipe-tiling", &cold.spatial_stats},
+        {"temporal-shift", &cold.temporal_stats},
     };
     for (const auto& row : rows) {
       const scl::core::DseStats& stats = *row.stats;
       table.add_row(
-          {info.name, row.mode, row.family,
+          {info.name, row.family,
            std::to_string(stats.candidates_evaluated),
            std::to_string(stats.candidates_pruned),
            std::to_string(stats.candidates_bounded),
@@ -233,7 +216,7 @@ int main(int argc, char** argv) {
            scl::format_fixed(stats.wall_seconds, 3),
            scl::format_fixed(searches_per_sec(stats), 1)});
       if (json) {
-        json << json_row(info.name, row.mode, row.family, stats) << "\n";
+        json << json_row(info.name, row.family, stats) << "\n";
       }
     }
   }
@@ -260,7 +243,7 @@ int main(int argc, char** argv) {
       const scl::core::Optimizer optimizer(program, options);
       DseRun cold;
       try {
-        cold = run_searches_banked(optimizer);
+        cold = run_searches(optimizer);
       } catch (const scl::Error& e) {
         std::cout << info.name << " on " << device_name << ": FAILED ("
                   << e.what() << ")\n";
@@ -268,10 +251,7 @@ int main(int argc, char** argv) {
         continue;
       }
       // The determinism contract must hold on the widened space too.
-      scl::core::OptimizerOptions exhaustive_options = options;
-      exhaustive_options.prune = false;
-      const scl::core::Optimizer exhaustive(program, exhaustive_options);
-      if (!same_designs(run_searches_banked(exhaustive), cold)) {
+      if (!matches_oracle(optimizer, cold)) {
         std::cout << info.name << " on " << device_name
                   << ": NONDETERMINISTIC — pruning changed the optimum\n";
         deterministic = false;
@@ -297,8 +277,8 @@ int main(int argc, char** argv) {
              scl::format_fixed(searches_per_sec(stats), 1),
              std::to_string(row.replication)});
         if (json) {
-          json << json_row(info.name, "cold", row.family, stats,
-                           device_name, row.replication)
+          json << json_row(info.name, row.family, stats, device_name,
+                           row.replication)
                << "\n";
         }
       }
@@ -307,11 +287,10 @@ int main(int argc, char** argv) {
   std::cout << hbm_table.to_text() << "\n";
 
   std::cout << (deterministic
-                    ? "determinism: pruning on and off chose identical "
-                      "designs\n"
+                    ? "determinism: every search matched the exhaustive "
+                      "oracle\n"
                     : "determinism: FAILED — see rows above\n")
-            << "\nNotes: cold rows start from an empty eval cache (the real\n"
-               "search cost); warm rows replay the same searches against the\n"
-               "populated cache (the memoization ceiling).\n";
+            << "\nNotes: each row is one search on a fresh optimizer; cache\n"
+               "hits are Phase-B walks that reused a seed batch's design.\n";
   return deterministic ? 0 : 1;
 }

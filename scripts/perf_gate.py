@@ -5,7 +5,7 @@ Compares the JSONL rows a fresh bench run produced against the committed
 baseline rows and fails when a tracked metric regressed. Tracked
 metrics:
 
-  bench=dse      key (kernel, mode, family[, device])
+  bench=dse      key (kernel, family[, device])
                    searches_per_sec  1 / wall_seconds of the whole search
                                      (bounding, seeding and evaluation),
                                      gated against the threshold — a
@@ -21,7 +21,19 @@ metrics:
                    bounded           the count of computed lower bounds
                                      under the same key + "/bounded",
                                      gated exactly like candidates
-  bench=service  key (threads, mode)          metric warm_speedup
+  bench=service  key (threads[, mode])
+                   runs_per_sec      1 / the per-request time (pass wall
+                                     time / jobs) of the cold pass under
+                                     key + "/cold" and of the best warm
+                                     replay under key + "/warm", each
+                                     gated against the threshold on its
+                                     own; the floor applies to the
+                                     per-request time
+                   jobs, overload_shed
+                                     the suite size and the requests the
+                                     depth-2 admission bound shed, under
+                                     the same key + "/<counter>", gated
+                                     for equality: any change fails
   bench=verify   key (kernel, device, layer)
                    runs_per_sec      1 / cpu_seconds, the min-of-5
                                      thread-CPU time of one verification
@@ -47,13 +59,9 @@ metrics:
 Verify and sim rows are keyed by device, so like the HBM dse legs a
 vanished row fails the gate whatever its time.
 
-The mode suffix ("", "/warm") distinguishes bench_dse's cold rows (fresh
-eval cache) from warm replays (fully cached); rows without a mode field
-are treated as cold, so pre-refactor baselines keep their keys. The
-family suffix works the same way: pipe-tiling rows (and rows predating
-the design-family split, which were all pipe-tiling) keep the
-historical key, temporal-shift rows append "/temporal-shift". Service
-rows use the suffix the same way: batch rows carry no mode and keep
+Pipe-tiling dse rows (and rows predating the design-family split, which
+were all pipe-tiling) keep the historical key, temporal-shift rows
+append "/temporal-shift". Service batch rows carry no mode and keep
 their historical key, daemon-over-the-wire rows append "/daemon".
 
 Rows carrying a "device" field (the HBM device-matrix legs bench_dse
@@ -70,12 +78,16 @@ Timed metrics are higher-is-better; a row counts as a regression when
 
   current < baseline * (1 - threshold)
 
-Rows whose wall_seconds (cpu_seconds for verify and sim rows; on either side)
-falls below --min-wall (default 0.02 s) are reported but never gated on
-timed metrics: at sub-floor times the metric is timer noise, not speed. Exact (counter) metrics
-ignore both the threshold and the floor: they regress when
+Rows whose wall_seconds (cpu_seconds for verify and sim rows, the
+per-request time for service rows; on either side) falls below
+--min-wall (default 0.02 s) are reported but never gated on timed
+metrics: at sub-floor times the metric is timer noise, not speed. Exact
+(counter) metrics ignore both the threshold and the floor: they regress
+when
 
   current > baseline
+
+except the service counters, which regress when current != baseline.
 
 Rows are JSONL (one object per line, '#' comments and blank lines
 ignored); when a key appears more than once the LAST occurrence wins,
@@ -123,7 +135,9 @@ def read_rows(path):
 
 def keyed_metrics(rows):
     """Maps (display key) -> (metric name, value, wall_seconds or None,
-    device_pinned, exact); last occurrence wins."""
+    device_pinned, rule); last occurrence wins. The rule is "timed"
+    (threshold and floor), "max" (any growth fails) or "equal" (any
+    change fails)."""
     metrics = {}
     for row in rows:
         bench = row.get("bench")
@@ -131,12 +145,6 @@ def keyed_metrics(rows):
         wall = float(wall) if wall is not None else None
         if bench == "dse":
             key = f"dse/{row.get('kernel')}"
-            # Rows without a mode predate the cold/warm split and were
-            # always cold; keeping their key unsuffixed lets old
-            # baselines gate new runs.
-            mode = row.get("mode", "cold")
-            if mode != "cold":
-                key = f"{key}/{mode}"
             # Rows without a family predate the design-family split and
             # were all pipe-tiling; same unsuffixed-key compatibility.
             family = row.get("family", "pipe-tiling")
@@ -151,36 +159,38 @@ def keyed_metrics(rows):
                 key = f"{key}/{device}"
             if wall is not None and wall > 0.0:
                 metrics[key] = (
-                    "searches_per_sec", 1.0 / wall, wall, pinned, False)
+                    "searches_per_sec", 1.0 / wall, wall, pinned, "timed")
             for counter in ("candidates", "bounded"):
                 value = row.get(counter)
                 if value is not None:
                     metrics[f"{key}/{counter}"] = (
-                        counter, float(value), wall, pinned, True)
+                        counter, float(value), wall, pinned, "max")
         elif bench == "verify":
             key = (f"verify/{row.get('kernel')}/{row.get('device')}/"
                    f"{row.get('layer')}")
             cpu = row.get("cpu_seconds")
             cpu = float(cpu) if cpu is not None else None
             if cpu is not None and cpu > 0.0:
-                metrics[key] = ("runs_per_sec", 1.0 / cpu, cpu, True, False)
+                metrics[key] = (
+                    "runs_per_sec", 1.0 / cpu, cpu, True, "timed")
             for counter in ("environments", "walks", "expressions"):
                 value = row.get(counter)
                 if value is not None:
                     metrics[f"{key}/{counter}"] = (
-                        counter, float(value), cpu, True, True)
+                        counter, float(value), cpu, True, "max")
         elif bench == "sim":
             key = (f"sim/{row.get('kernel')}/{row.get('device')}/"
                    f"{row.get('family')}")
             cpu = row.get("cpu_seconds")
             cpu = float(cpu) if cpu is not None else None
             if cpu is not None and cpu > 0.0:
-                metrics[key] = ("runs_per_sec", 1.0 / cpu, cpu, True, False)
+                metrics[key] = (
+                    "runs_per_sec", 1.0 / cpu, cpu, True, "timed")
             for counter in ("regions", "tile_tasks", "steps", "pipe_writes"):
                 value = row.get(counter)
                 if value is not None:
                     metrics[f"{key}/{counter}"] = (
-                        counter, float(value), cpu, True, True)
+                        counter, float(value), cpu, True, "max")
         elif bench == "service":
             key = f"service/t{row.get('threads')}"
             # Batch rows predate the daemon split and carry no mode;
@@ -188,10 +198,21 @@ def keyed_metrics(rows):
             mode = row.get("mode")
             if mode:
                 key = f"{key}/{mode}"
-            value = row.get("warm_speedup")
-            if value is not None:
-                metrics[key] = (
-                    "warm_speedup", float(value), wall, False, False)
+            # Cold and warm are timed on their own: a ratio of the two
+            # falls whenever cold synthesis gets faster.
+            jobs = row.get("jobs")
+            for side in ("cold", "warm"):
+                pass_ms = row.get(f"{side}_ms")
+                if jobs and pass_ms:
+                    per_request = float(pass_ms) / 1e3 / float(jobs)
+                    metrics[f"{key}/{side}"] = (
+                        "runs_per_sec", 1.0 / per_request, per_request,
+                        False, "timed")
+            for counter in ("jobs", "overload_shed"):
+                value = row.get(counter)
+                if value is not None:
+                    metrics[f"{key}/{counter}"] = (
+                        counter, float(value), None, False, "equal")
     return metrics
 
 
@@ -212,12 +233,12 @@ def gate(pairs, threshold, min_wall):
             raise SystemExit(
                 f"error: {baseline_path} holds no gated bench rows")
         for key in sorted(baseline):
-            metric, base_value, base_wall, pinned, exact = baseline[key]
+            metric, base_value, base_wall, pinned, rule = baseline[key]
             base_subfloor = base_wall is not None and base_wall < min_wall
             if key not in current:
                 # Device-pinned rows never get the sub-floor pass: a
                 # missing device leg is a coverage hole, not noise.
-                if base_subfloor and not pinned and not exact:
+                if base_subfloor and not pinned and rule == "timed":
                     lines.append(
                         f"| {key} | {metric} | {format_value(base_value)} "
                         f"| *missing* | — | skip (wall < floor) |")
@@ -232,8 +253,10 @@ def gate(pairs, threshold, min_wall):
             _, cur_value, cur_wall, _, _ = current[key]
             delta = ((cur_value - base_value) / base_value
                      if base_value != 0 else 0.0)
-            if exact:
+            if rule == "max":
                 regressed = cur_value > base_value
+            elif rule == "equal":
+                regressed = cur_value != base_value
             elif (base_subfloor
                     or (cur_wall is not None and cur_wall < min_wall)):
                 lines.append(

@@ -163,21 +163,6 @@ DesignConfig CandidateAxes::config(std::int64_t index) const {
   return config;
 }
 
-std::vector<CandidateChain> CandidateAxes::chains() const {
-  const auto length = static_cast<std::int64_t>(depths.size());
-  std::vector<CandidateChain> out;
-  out.reserve(static_cast<std::size_t>(size() / length));
-  for (std::int64_t first = 0; first < size(); first += length) {
-    CandidateChain chain;
-    chain.configs.reserve(depths.size());
-    for (std::int64_t j = 0; j < length; ++j) {
-      chain.configs.push_back(config(first + j));
-    }
-    out.push_back(std::move(chain));
-  }
-  return out;
-}
-
 CandidateAxes CandidateSpace::axes(DesignKind kind) const {
   CandidateAxes axes;
   axes.prototype.kind = kind;
@@ -187,10 +172,6 @@ CandidateAxes CandidateSpace::axes(DesignKind kind) const {
   axes.tiles = tile_shape_candidates();
   axes.depths = fusion_candidates();
   return axes;
-}
-
-std::vector<CandidateChain> CandidateSpace::chains(DesignKind kind) const {
-  return axes(kind).chains();
 }
 
 std::vector<std::int64_t> CandidateSpace::strip_candidates() const {
@@ -227,10 +208,6 @@ CandidateAxes CandidateSpace::temporal_axes() const {
   }
   axes.depths = temporal_degree_candidates();
   return axes;
-}
-
-std::vector<CandidateChain> CandidateSpace::temporal_chains() const {
-  return temporal_axes().chains();
 }
 
 std::vector<DesignConfig> CandidateSpace::heterogeneous_candidates(

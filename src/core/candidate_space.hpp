@@ -2,16 +2,17 @@
 //
 // CandidateSpace is a pure generator: given the program and the optimizer
 // options it produces the candidate axes (parallelism arrangements, tile
-// shapes, fusion depths) and the composed DesignConfig sequences the
-// evaluation engine walks. It owns no models and performs no evaluation,
-// so enumeration order — which the deterministic DSE contract depends
-// on — is testable in isolation.
+// shapes, fusion depths) of each family, and the heterogeneous candidate
+// list derived from a chosen baseline. It owns no models and performs no
+// evaluation, so enumeration order — which the deterministic DSE contract
+// depends on — is testable in isolation.
 //
-// Enumeration order is part of the contract: chains are emitted
+// Enumeration order is part of the contract: candidate indices run
 // replication-major (spatial PE copies, ascending), then parallelism,
-// then unroll, then tile shape, with fusion depth ascending inside each
-// chain. The evaluation engine consumes this exact order. On single-bank
-// (DDR) devices the replication axis is the singleton {1}, so their
+// then unroll, then tile shape, with fusion depth ascending fastest, so
+// each run of consecutive indices that differ only in depth is one chain.
+// The optimizer's search walks this exact order. On single-bank (DDR)
+// devices the replication axis is the singleton {1}, so their
 // enumeration order — and hence every DDR optimum — is bit-identical to
 // the pre-replication space.
 //
@@ -22,10 +23,10 @@
 // first. The contract is: the family word leads the DesignKey
 // (sim/design.cpp), kPipeTiling = 0 before kTemporalShift = 1, so the
 // deterministic ordering (core::design_order's final key comparison)
-// always prefers the pipe-tiling design on exact ties. temporal_chains()
-// follows the same per-family shape as chains(): unroll-major (vector
+// always prefers the pipe-tiling design on exact ties. temporal_axes()
+// follows the same per-family shape as axes(): unroll-major (vector
 // width V), then strip width ascending, temporal degree T ascending
-// inside each chain.
+// fastest.
 #pragma once
 
 #include <array>
@@ -39,21 +40,15 @@ namespace scl::core {
 
 struct OptimizerOptions;
 
-/// One maximal run of candidates that differ only in fusion depth h,
-/// ascending. Resource use grows monotonically with h (cone buffers), so
-/// the evaluator stops a chain at its first over-budget depth; everything
-/// after it is infeasible too.
-struct CandidateChain {
-  std::vector<sim::DesignConfig> configs;
-};
-
 /// One family's candidate space as five axes in the contract enumeration
 /// order: replication, parallelism, unroll, tile shape, depth (fusion
 /// depth h, or temporal degree T) fastest. Candidate `index` is the
 /// mixed-radix number over the axes, so a search can hold an index
 /// instead of a DesignConfig and build the config only when it needs it.
-/// Consecutive runs of depths.size() indices form one CandidateChain;
-/// group_size() consecutive indices share one (R, K, U) group.
+/// Consecutive runs of depths.size() indices form one chain, ascending in
+/// depth: resource use grows monotonically with the depth (cone buffers,
+/// shift registers), so a walk stops a chain at its first over-budget
+/// depth. group_size() consecutive indices share one (R, K, U) group.
 struct CandidateAxes {
   /// Family and kind; the axes fill in every other field.
   sim::DesignConfig prototype;
@@ -67,8 +62,6 @@ struct CandidateAxes {
   /// Candidates per (R, K, U) group: tiles x depths.
   std::int64_t group_size() const;
   sim::DesignConfig config(std::int64_t index) const;
-  /// Every candidate, as one chain per (R, K, U, tile).
-  std::vector<CandidateChain> chains() const;
 };
 
 class CandidateSpace {
@@ -99,10 +92,6 @@ class CandidateSpace {
   /// unroll, tile shape) combination over the fusion depths.
   CandidateAxes axes(sim::DesignKind kind) const;
 
-  /// axes(kind) as chains over the fusion depths, in the contract
-  /// enumeration order.
-  std::vector<CandidateChain> chains(sim::DesignKind kind) const;
-
   /// Strip widths for the temporal-shift family: the innermost-dimension
   /// tile candidates plus the full grid extent (the StencilStream
   /// "monotile" point), ascending.
@@ -117,11 +106,6 @@ class CandidateSpace {
   /// (full grid extent but the innermost strip width) as the tiles, and
   /// the temporal degrees as the depths.
   CandidateAxes temporal_axes() const;
-
-  /// temporal_axes() as chains over the temporal degrees, ascending.
-  /// Shift-register size and unroll grow monotonically with T, so the
-  /// evaluator's first-over-budget chain cut stays valid.
-  std::vector<CandidateChain> temporal_chains() const;
 
   /// The heterogeneous search derived from a chosen baseline (§5.4):
   /// parallelism/unroll/tile pinned, fusion depth x balancing shrink

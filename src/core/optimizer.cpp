@@ -1,7 +1,9 @@
 #include "core/optimizer.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
+#include <numeric>
 #include <optional>
 
 #include "support/error.hpp"
@@ -28,36 +30,68 @@ bool design_order(const DesignPoint& a, const DesignPoint& b) {
   return a.config.key() < b.config.key();
 }
 
-namespace {
-
-/// Selection predicate of the running-best scan: should `candidate`
-/// replace `incumbent`? Strictly fewer cycles always wins. Within a
-/// 1.0005x near-tie band (the baseline's overlapped cones make the
-/// latency insensitive to the parallelism arrangement) prefer more
-/// compute units, then the squarer arrangement — both benefit the
-/// heterogeneous design later derived from this choice (more interior
-/// tiles, shorter pipe boundaries). Exact residual ties fall through to
-/// the explicit deterministic comparator, never to enumeration order.
-bool better_design(const DesignPoint& candidate,
-                   const DesignPoint& incumbent) {
-  const double c_new = candidate.prediction.total_cycles;
-  const double c_old = incumbent.prediction.total_cycles;
-  if (c_new < c_old) return true;
-  if (c_new > 1.0005 * c_old) return false;
+DesignPoint select_best(const std::vector<DesignPoint>& feasible) {
+  SCL_CHECK(!feasible.empty(), "select_best needs a non-empty feasible set");
+  double fastest = std::numeric_limits<double>::infinity();
+  for (const DesignPoint& point : feasible) {
+    fastest = std::min(fastest, point.prediction.total_cycles);
+  }
   auto spread = [](const std::array<int, 3>& arrangement) {
     return *std::max_element(arrangement.begin(), arrangement.end()) -
            *std::min_element(arrangement.begin(), arrangement.end());
   };
-  const std::int64_t k_new = candidate.config.total_kernels();
-  const std::int64_t k_old = incumbent.config.total_kernels();
-  if (k_new != k_old) return k_new > k_old;
-  const int s_new = spread(candidate.config.parallelism);
-  const int s_old = spread(incumbent.config.parallelism);
-  if (s_new != s_old) return s_new < s_old;
-  // Same latency band, same arrangement quality: only an exact latency
-  // tie may still flip the choice, through the stable comparator.
-  if (c_new != c_old) return false;
-  return design_order(candidate, incumbent);
+  auto prefers = [&](const DesignPoint& a, const DesignPoint& b) {
+    const std::int64_t ka = a.config.total_kernels();
+    const std::int64_t kb = b.config.total_kernels();
+    if (ka != kb) return ka > kb;
+    const int sa = spread(a.config.parallelism);
+    const int sb = spread(b.config.parallelism);
+    if (sa != sb) return sa < sb;
+    return design_order(a, b);
+  };
+  const DesignPoint* best = nullptr;
+  for (const DesignPoint& point : feasible) {
+    if (point.prediction.total_cycles > kNearTie * fastest) continue;
+    if (best == nullptr || prefers(point, *best)) best = &point;
+  }
+  return *best;
+}
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+support::obs::Counter& candidates_counter() {
+  static auto& counter = support::obs::metrics().counter(
+      "scl_dse_candidates_total", "design candidates evaluated or reused");
+  return counter;
+}
+
+support::obs::Counter& pruned_counter() {
+  static auto& counter = support::obs::metrics().counter(
+      "scl_dse_pruned_total",
+      "design candidates skipped by branch-and-bound lower bounds");
+  return counter;
+}
+
+support::obs::Histogram& walk_histogram() {
+  static auto& histogram = support::obs::metrics().histogram(
+      "scl_dse_batch_ms", support::obs::default_latency_ms_buckets(),
+      "wall time of one seed batch or chain walk");
+  return histogram;
+}
+
+/// Credits one evaluation walk, `walked` candidates since `start`.
+void record_walk(DseStats* stats, std::int64_t walked,
+                 Clock::time_point start) {
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  stats->candidates_evaluated += walked;
+  stats->wall_seconds += seconds;
+  if (support::obs::enabled()) {
+    candidates_counter().add(walked);
+    walk_histogram().observe(seconds * 1e3);
+  }
 }
 
 /// Bounds each config of a flat list, index = list position.
@@ -122,12 +156,28 @@ BoundedSpace bound_axes(const CandidateAxes& axes,
   return out;
 }
 
+std::int64_t SearchSpace::size() const {
+  return configs.empty() ? axes.size()
+                         : static_cast<std::int64_t>(configs.size());
+}
+
+std::int64_t SearchSpace::chain_length() const {
+  return configs.empty() ? static_cast<std::int64_t>(axes.depths.size())
+                         : 1;
+}
+
+DesignConfig SearchSpace::config(std::int64_t index) const {
+  return configs.empty() ? axes.config(index)
+                         : configs[static_cast<std::size_t>(index)];
+}
+
 Optimizer::Optimizer(const StencilProgram& program, OptimizerOptions options)
     : program_(&program),
       options_(std::move(options)),
       space_(program, options_),
       bound_model_(program, options_.device),
-      engine_(program, options_.device, options_.cone_mode) {
+      perf_model_(program, options_.device, options_.cone_mode),
+      resource_model_(options_.device) {
   SCL_CHECK(options_.resource_fraction > 0.0 &&
                 options_.resource_fraction <= 1.0,
             "resource fraction must be in (0, 1]");
@@ -142,43 +192,127 @@ fpga::ResourceVector Optimizer::budget() const {
   return {scale(cap.ff), scale(cap.lut), scale(cap.dsp), scale(cap.bram18)};
 }
 
+DseStats Optimizer::dse_stats() const {
+  DseStats stats = stats_;
+  stats.cache_misses = stats.candidates_evaluated - stats.cache_hits;
+  return stats;
+}
+
+DesignPoint Optimizer::price(const DesignConfig& config) const {
+  DesignPoint point;
+  point.config = config;
+  point.prediction = perf_model_.predict(config);
+  point.resources =
+      estimate_design_resources(*program_, config, resource_model_);
+  return point;
+}
+
 DesignPoint Optimizer::evaluate(const DesignConfig& config) const {
-  return engine_.evaluate(config);
+  ++stats_.candidates_evaluated;
+  if (support::obs::enabled()) candidates_counter().increment();
+  return price(config);
 }
 
-std::vector<DesignPoint> Optimizer::explore(DesignKind kind) const {
-  return engine_.evaluate_chains(space_.chains(kind), budget());
+SearchSpace Optimizer::product_space(const char* family,
+                                     CandidateAxes axes) const {
+  SearchSpace space;
+  space.family = family;
+  space.cap = budget();
+  space.cap_name = "the device budget";
+  space.axes = std::move(axes);
+  return space;
 }
 
-DesignPoint Optimizer::select_best(
-    const std::vector<DesignPoint>& feasible) const {
-  // Running-best scan over the deterministic enumeration order.
-  const DesignPoint* best = nullptr;
-  for (const DesignPoint& point : feasible) {
-    if (best == nullptr || better_design(point, *best)) best = &point;
+SearchSpace Optimizer::baseline_space() const {
+  return product_space("baseline", space_.axes(DesignKind::kBaseline));
+}
+
+SearchSpace Optimizer::temporal_space() const {
+  return product_space("temporal-shift", space_.temporal_axes());
+}
+
+SearchSpace Optimizer::heterogeneous_space(const DesignPoint& baseline) const {
+  // Paper §5.4: the heterogeneous design is constrained by the baseline's
+  // hardware size and keeps its parallelism; only the fusion depth, tile
+  // size and balancing factors vary. DSP and BRAM are hard caps; FF/LUT
+  // get a 3% tolerance (estimation noise at P&R granularity — relevant
+  // only for 1-D stencils whose pipe logic is not amortized by buffer
+  // savings).
+  SearchSpace space;
+  space.family = "heterogeneous";
+  space.cap = baseline.resources.total;
+  space.cap.ff =
+      static_cast<std::int64_t>(static_cast<double>(space.cap.ff) * 1.03);
+  space.cap.lut =
+      static_cast<std::int64_t>(static_cast<double>(space.cap.lut) * 1.03);
+  space.cap_name = "within the baseline's resources";
+  // Table 3 protocol: the heterogeneous design keeps the baseline's
+  // nominal tile (its region sweep), so the reported "tile size of the
+  // slowest kernel" is the baseline tile minus the balancing shrink.
+  // Shrink does not vary resources monotonically, so each candidate is
+  // its own single-config chain: the chain early exit degenerates to the
+  // plain feasibility filter.
+  space.configs = space_.heterogeneous_candidates(baseline.config);
+  return space;
+}
+
+std::vector<DesignPoint> Optimizer::walk(
+    const SearchSpace& space, const std::vector<std::int64_t>& indices,
+    std::vector<Probe> probes) const {
+  const auto span = support::obs::tracer().span("dse/evaluate", "dse");
+  const Clock::time_point start = Clock::now();
+  std::vector<DesignPoint> feasible;
+  auto probe = probes.begin();
+  const std::int64_t chain_length = space.chain_length();
+  std::int64_t cut_chain = -1;  // the chain whose cap was reached
+  std::int64_t walked = 0;
+  for (const std::int64_t index : indices) {
+    const std::int64_t chain = index / chain_length;
+    if (chain == cut_chain) continue;
+    while (probe != probes.end() && probe->index < index) ++probe;
+    DesignPoint point;
+    if (probe != probes.end() && probe->index == index) {
+      point = std::move(probe->point);
+      ++stats_.cache_hits;
+    } else {
+      point = price(space.config(index));
+    }
+    ++walked;
+    if (!point.resources.total.fits_within(space.cap)) {
+      cut_chain = chain;
+      continue;
+    }
+    feasible.push_back(std::move(point));
   }
-  SCL_CHECK(best != nullptr, "select_best needs a non-empty feasible set");
-  return *best;
+  record_walk(&stats_, walked, start);
+  return feasible;
 }
 
-std::optional<DesignPoint> Optimizer::branch_and_bound(
-    const std::function<BoundedSpace()>& bound_space,
-    const std::function<DesignConfig(std::int64_t)>& config_at,
-    std::int64_t chain_length, const fpga::ResourceVector& cap) const {
-  // Phase A: bound the space, find a feasible incumbent by walking the
-  // most promising bounds first, and decide the kept set from bounds
-  // alone.
+std::vector<DesignPoint> Optimizer::explore(const SearchSpace& space) const {
+  std::vector<std::int64_t> indices(static_cast<std::size_t>(space.size()));
+  std::iota(indices.begin(), indices.end(), std::int64_t{0});
+  return walk(space, indices, {});
+}
+
+DesignPoint Optimizer::search(const SearchSpace& space) const {
+  const DseStats before = stats_;
+  // Phase A: bound the space, find a feasible seed by walking the most
+  // promising bounds first, and decide the kept set from bounds alone.
+  std::vector<Probe> probes;
   std::vector<std::int64_t> kept;
-  std::optional<DesignPoint> seed;
+  std::optional<double> seed_cycles;
   {
     const auto span = support::obs::tracer().span("dse/prune", "dse");
-    BoundedSpace space = bound_space();
-    engine_.add_bounded(space.bounded);
+    BoundedSpace bounded =
+        space.configs.empty()
+            ? bound_axes(space.axes, bound_model_, space.cap)
+            : bound_configs(space.configs, bound_model_, space.cap);
+    stats_.candidates_bounded += bounded.bounded;
     // Min-heap on (bound, enumeration index): it pops in exactly the
     // ascending sorted order, but the seed usually turns up in the first
     // batch or two, so only those pops pay the log factor — sorting the
     // survivors would not. Popped candidates collect behind `unpopped`.
-    std::vector<BoundedCandidate>& heap = space.survivors;
+    std::vector<BoundedCandidate>& heap = bounded.survivors;
     const auto pops_later = [](const BoundedCandidate& a,
                                const BoundedCandidate& b) {
       if (a.cycles != b.cycles) return a.cycles > b.cycles;
@@ -186,29 +320,34 @@ std::optional<DesignPoint> Optimizer::branch_and_bound(
     };
     std::make_heap(heap.begin(), heap.end(), pops_later);
     auto unpopped = heap.end();
-    // Incumbent seed: evaluate bound-ascending in small batches until a
-    // design fits. The tighter the seed, the smaller the kept set, but
-    // any feasible design is a correct incumbent. The resource floor
-    // only removed designs that cannot fit, so the first feasible design
-    // in bound order, the seed, is the same with or without it.
+    // Seed: evaluate bound-ascending in small batches until a design
+    // fits. The tighter the seed, the smaller the kept set, but any
+    // feasible design is a correct seed. The resource floor only removed
+    // designs that cannot fit, so the first feasible design in bound
+    // order, the seed, is the same with or without it.
     constexpr std::size_t kSeedBatch = 8;
-    while (!seed && unpopped != heap.begin()) {
-      std::vector<DesignConfig> batch;
-      while (batch.size() < kSeedBatch && unpopped != heap.begin()) {
+    while (!seed_cycles && unpopped != heap.begin()) {
+      const Clock::time_point start = Clock::now();
+      const std::size_t first = probes.size();
+      while (probes.size() - first < kSeedBatch && unpopped != heap.begin()) {
         std::pop_heap(heap.begin(), unpopped, pops_later);
         --unpopped;
-        batch.push_back(config_at(unpopped->index));
+        const std::int64_t index = unpopped->index;
+        probes.push_back({index, price(space.config(index))});
       }
-      for (const DesignPoint& point : engine_.evaluate_batch(batch)) {
-        if (!point.resources.total.fits_within(cap)) continue;
-        seed = point;
-        break;
+      record_walk(&stats_, static_cast<std::int64_t>(probes.size() - first),
+                  start);
+      for (std::size_t i = first; i < probes.size(); ++i) {
+        if (probes[i].point.resources.total.fits_within(space.cap)) {
+          seed_cycles = probes[i].point.prediction.total_cycles;
+          break;
+        }
       }
     }
     // Floor-skipped candidates are pruned even when nothing fits.
-    std::int64_t pruned = space.skipped;
-    if (seed) {
-      const double ceiling = kPruneMargin * seed->prediction.total_cycles;
+    std::int64_t pruned = bounded.skipped;
+    if (seed_cycles) {
+      const double ceiling = kPruneMargin * *seed_cycles;
       for (auto it = heap.begin(); it != heap.end(); ++it) {
         if (it->cycles <= ceiling) {
           kept.push_back(it->index);
@@ -220,149 +359,40 @@ std::optional<DesignPoint> Optimizer::branch_and_bound(
         }
       }
     }
-    engine_.add_pruned(pruned);
-    if (!seed) return std::nullopt;  // exhaustively infeasible
+    stats_.candidates_pruned += pruned;
+    if (support::obs::enabled() && pruned > 0) pruned_counter().add(pruned);
   }
-  // Phase B: evaluate the kept subsets in enumeration order.
-  // Candidates outside the kept set either cannot fit (resource floor)
-  // or have exact latency >= their bound > kPruneMargin x incumbent >=
-  // kPruneMargin x optimum, far beyond the near-tie band, so the
-  // running-best scan over this subsequence picks the same design the
-  // exhaustive scan would. Keeping the chain structure (each kept subset
-  // is still ascending in depth) lets evaluate_chains early-exit the
-  // over-budget tails exactly as the exhaustive path does.
-  std::sort(kept.begin(), kept.end());
-  std::vector<CandidateChain> chains;
-  std::int64_t chain = -1;
-  for (const std::int64_t index : kept) {
-    if (index / chain_length != chain) {
-      chain = index / chain_length;
-      chains.emplace_back();
-    }
-    chains.back().configs.push_back(config_at(index));
+  // Phase B: walk the kept candidates in enumeration order, reusing the
+  // seed batches' designs. A design select_best() can pick has latency
+  // <= kNearTie x c* <= kNearTie x seed < kPruneMargin x seed, and its
+  // bound is no higher, so it is kept; candidates outside the kept set
+  // either cannot fit (resource floor) or cannot be picked. Each kept
+  // chain is still ascending in depth, so the walk's early exit drops
+  // exactly the over-cap tails the exhaustive walk drops.
+  std::vector<DesignPoint> feasible;
+  if (seed_cycles) {
+    std::sort(kept.begin(), kept.end());
+    std::sort(probes.begin(), probes.end(),
+              [](const Probe& a, const Probe& b) { return a.index < b.index; });
+    feasible = walk(space, kept, std::move(probes));
   }
-  const std::vector<DesignPoint> feasible = engine_.evaluate_chains(chains, cap);
   for (const DesignPoint& point : feasible) retained_.insert(point);
-  if (feasible.empty()) return std::nullopt;  // unreachable: seed is kept
+  SCL_INFO() << space.family << " DSE for " << program_->name() << ": "
+             << stats_.candidates_evaluated - before.candidates_evaluated
+             << " candidates evaluated, "
+             << stats_.candidates_pruned - before.candidates_pruned
+             << " pruned";
+  if (feasible.empty()) {  // the seed is kept, so nothing fits at all
+    throw ResourceError(str_cat("no ", space.family, " design for '",
+                                program_->name(), "' fits ", space.cap_name,
+                                " ", space.cap.to_string()));
+  }
   return select_best(feasible);
 }
 
-std::optional<DesignPoint> Optimizer::branch_and_bound(
-    const CandidateAxes& axes, const fpga::ResourceVector& cap) const {
-  return branch_and_bound(
-      [&] { return bound_axes(axes, bound_model_, cap); },
-      [&](std::int64_t index) { return axes.config(index); },
-      static_cast<std::int64_t>(axes.depths.size()), cap);
-}
-
-DesignPoint Optimizer::optimize_baseline() const {
-  const DseStats before = engine_.stats();
-  std::optional<DesignPoint> best;
-  if (options_.prune) {
-    best = branch_and_bound(space_.axes(DesignKind::kBaseline), budget());
-  } else {
-    const std::vector<DesignPoint> feasible = explore(DesignKind::kBaseline);
-    for (const DesignPoint& point : feasible) retained_.insert(point);
-    if (!feasible.empty()) best = select_best(feasible);
-  }
-  const DseStats after = engine_.stats();
-  SCL_INFO() << "baseline DSE for " << program_->name() << ": "
-             << after.candidates_evaluated - before.candidates_evaluated
-             << " candidates evaluated, "
-             << after.candidates_pruned - before.candidates_pruned
-             << " pruned";
-  if (!best) {
-    throw ResourceError(
-        str_cat("no baseline design for '", program_->name(),
-                "' fits the device budget ", budget().to_string()));
-  }
-  return *best;
-}
-
-std::vector<DesignPoint> Optimizer::explore_temporal() const {
-  return engine_.evaluate_chains(space_.temporal_chains(), budget());
-}
-
-DesignPoint Optimizer::optimize_temporal() const {
-  const DseStats before = engine_.stats();
-  std::optional<DesignPoint> best;
-  if (options_.prune) {
-    best = branch_and_bound(space_.temporal_axes(), budget());
-  } else {
-    const std::vector<DesignPoint> feasible = explore_temporal();
-    for (const DesignPoint& point : feasible) retained_.insert(point);
-    if (!feasible.empty()) best = select_best(feasible);
-  }
-  const DseStats after = engine_.stats();
-  SCL_INFO() << "temporal DSE for " << program_->name() << ": "
-             << after.candidates_evaluated - before.candidates_evaluated
-             << " candidates evaluated, "
-             << after.candidates_pruned - before.candidates_pruned
-             << " pruned";
-  if (!best) {
-    throw ResourceError(
-        str_cat("no temporal-shift design for '", program_->name(),
-                "' fits the device budget ", budget().to_string()));
-  }
-  return *best;
-}
-
-DesignPoint Optimizer::optimize_heterogeneous(
-    const DesignPoint& baseline) const {
-  // Paper §5.4: the heterogeneous design is constrained by the baseline's
-  // hardware size and keeps its parallelism; only the fusion depth, tile
-  // size and balancing factors vary. DSP and BRAM are hard caps; FF/LUT
-  // get a 3% tolerance (estimation noise at P&R granularity — relevant
-  // only for 1-D stencils whose pipe logic is not amortized by buffer
-  // savings).
-  fpga::ResourceVector cap = baseline.resources.total;
-  cap.ff = static_cast<std::int64_t>(static_cast<double>(cap.ff) * 1.03);
-  cap.lut = static_cast<std::int64_t>(static_cast<double>(cap.lut) * 1.03);
-
-  // Table 3 protocol: the heterogeneous design keeps the baseline's
-  // nominal tile (its region sweep), so the reported "tile size of the
-  // slowest kernel" is the baseline tile minus the balancing shrink.
-  const std::vector<DesignConfig> candidates =
-      space_.heterogeneous_candidates(baseline.config);
-  const DseStats before = engine_.stats();
-  std::optional<DesignPoint> best;
-  if (options_.prune) {
-    // Shrink does not vary resources monotonically, so each candidate is
-    // its own single-config chain: the chain early exit degenerates to
-    // the plain feasibility filter.
-    best = branch_and_bound(
-        [&] { return bound_configs(candidates, bound_model_, cap); },
-        [&](std::int64_t index) {
-          return candidates[static_cast<std::size_t>(index)];
-        },
-        1, cap);
-  } else {
-    const std::vector<DesignPoint> points = engine_.evaluate_batch(candidates);
-    std::vector<DesignPoint> feasible;
-    feasible.reserve(points.size());
-    for (const DesignPoint& point : points) {
-      if (point.resources.total.fits_within(cap)) feasible.push_back(point);
-    }
-    for (const DesignPoint& point : feasible) retained_.insert(point);
-    if (!feasible.empty()) best = select_best(feasible);
-  }
-  const DseStats after = engine_.stats();
-  SCL_INFO() << "heterogeneous DSE for " << program_->name() << ": "
-             << after.candidates_evaluated - before.candidates_evaluated
-             << " candidates evaluated, "
-             << after.candidates_pruned - before.candidates_pruned
-             << " pruned";
-  if (!best) {
-    throw ResourceError(
-        str_cat("no heterogeneous design for '", program_->name(),
-                "' fits within the baseline's resources ", cap.to_string()));
-  }
-  return *best;
-}
-
-std::vector<DesignPoint> Optimizer::pareto_frontier(
-    sim::DesignKind kind) const {
-  std::vector<DesignPoint> feasible = explore(kind);
+std::vector<DesignPoint> Optimizer::pareto_frontier(DesignKind kind) const {
+  std::vector<DesignPoint> feasible =
+      explore(product_space("", space_.axes(kind)));
   std::sort(feasible.begin(), feasible.end(), design_order);
   std::vector<DesignPoint> frontier;
   std::int64_t best_bram = std::numeric_limits<std::int64_t>::max();

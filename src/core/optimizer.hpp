@@ -12,25 +12,29 @@
 //    total resources are capped by what the *baseline* consumed, and the
 //    fusion depth, tile size and workload-balancing factors are chosen by
 //    the model.
+//  * optimize_temporal() searches the temporal-blocked shift-register
+//    family (arch/family.hpp) under the device's resource budget.
 //
-// Internally the search is split into a pure CandidateSpace enumerator
-// and a memoizing EvaluationEngine (see candidate_space.hpp,
-// evaluation_engine.hpp). Candidates are evaluated on the calling thread
-// in enumeration order and selected by an explicit deterministic
-// comparator, so explore results, Pareto frontiers and best() depend
-// only on the program and the options.
+// Each optimize_* builds one SearchSpace from the pure CandidateSpace
+// enumerator (candidate_space.hpp) — candidates addressed by index, the
+// chain length and the resource cap — and runs the one branch-and-bound
+// search(). Candidates are priced on the calling thread by the
+// optimizer's own PerfModel and ResourceModel, and the winner is picked by
+// select_best(), a total order, so search results, Pareto frontiers and
+// the retained frontier depend only on the program and the options.
+// explore() walks a space exhaustively; select_best(explore(space)) is
+// the oracle the tests hold search(space) to.
 #pragma once
 
-#include <functional>
-#include <optional>
+#include <cstdint>
 #include <vector>
 
 #include "core/candidate_space.hpp"
 #include "core/design_point.hpp"
-#include "core/evaluation_engine.hpp"
 #include "core/pareto_front.hpp"
 #include "core/resource_estimator.hpp"
 #include "fpga/device.hpp"
+#include "fpga/resource_model.hpp"
 #include "model/lower_bound.hpp"
 #include "model/perf_model.hpp"
 #include "sim/design.hpp"
@@ -63,13 +67,50 @@ struct OptimizerOptions {
   /// Ignored: candidate evaluation runs on the calling thread. Kept only
   /// because perfbench/common.cpp still assigns it.
   int threads = 0;
-  /// Branch-and-bound pruning for the optimize_* searches: admissible
-  /// lower bounds (model/lower_bound.hpp) discard candidates that
-  /// provably cannot beat a deterministically chosen incumbent. The
-  /// reported optimum is bit-identical with pruning on or off (see
-  /// tests/dse_prune_test.cpp); explore() and pareto_frontier() always
-  /// stay exhaustive.
-  bool prune = true;
+};
+
+/// Aggregated DSE counters for reporting (core/report.cpp renders them).
+struct DseStats {
+  /// Designs the searches walked: priced by the models or reused.
+  std::int64_t candidates_evaluated = 0;
+  std::int64_t candidates_pruned = 0;   ///< skipped via lower bounds
+  std::int64_t candidates_bounded = 0;  ///< lower bounds computed
+  /// Phase-B walks that reused a design a Phase-A seed batch had already
+  /// priced. Named for the memo cache it replaced: the report, perfbench
+  /// and --analyze-json read it.
+  std::int64_t cache_hits = 0;
+  /// candidates_evaluated - cache_hits: designs priced by the models.
+  std::int64_t cache_misses = 0;
+  double wall_seconds = 0.0;  ///< time inside evaluation walks
+
+  double cache_hit_rate() const {
+    const auto total = static_cast<double>(candidates_evaluated);
+    return total > 0.0 ? static_cast<double>(cache_hits) / total : 0.0;
+  }
+  double candidates_per_sec() const {
+    return wall_seconds > 0.0
+               ? static_cast<double>(candidates_evaluated) / wall_seconds
+               : 0.0;
+  }
+};
+
+/// One search: the candidates of one family addressed by index, under one
+/// resource cap. A product space walks `axes`, each run of
+/// axes.depths.size() consecutive indices one chain ascending in depth; a
+/// list space walks `configs`, each candidate its own chain.
+struct SearchSpace {
+  /// Names the family in the log line and the ResourceError.
+  const char* family = "";
+  /// The cap every design must fit, and how the ResourceError names it.
+  fpga::ResourceVector cap;
+  const char* cap_name = "";
+  CandidateAxes axes;
+  /// Non-empty for a list space.
+  std::vector<sim::DesignConfig> configs;
+
+  std::int64_t size() const;
+  std::int64_t chain_length() const;
+  sim::DesignConfig config(std::int64_t index) const;
 };
 
 /// A candidate that Phase A of branch-and-bound kept for the seed heap:
@@ -102,6 +143,20 @@ BoundedSpace bound_axes(const CandidateAxes& axes,
                         const model::LowerBoundModel& model,
                         const fpga::ResourceVector& cap);
 
+/// The near-tie band of select_best(): designs within this factor of the
+/// fastest feasible latency count as tied.
+inline constexpr double kNearTie = 1.0005;
+
+/// The selection rule, a total order on a feasible set. Let c* be the
+/// lowest predicted latency. Among the designs at or below kNearTie x c*
+/// (the baseline's overlapped cones make the latency insensitive to the
+/// parallelism arrangement) prefer more compute units, then the squarer
+/// arrangement — both benefit the heterogeneous design later derived from
+/// this choice (more interior tiles, shorter pipe boundaries) — then
+/// design_order. Every permutation of `feasible` selects the same design.
+/// `feasible` must not be empty.
+DesignPoint select_best(const std::vector<DesignPoint>& feasible);
+
 class Optimizer {
  public:
   Optimizer(const scl::stencil::StencilProgram& program,
@@ -109,26 +164,39 @@ class Optimizer {
 
   /// Best overlapped-tiling design fitting the device budget.
   /// Throws scl::ResourceError when nothing fits.
-  DesignPoint optimize_baseline() const;
+  DesignPoint optimize_baseline() const { return search(baseline_space()); }
 
   /// Best pipe-shared heterogeneous design using the baseline's
   /// parallelism/unroll and at most the baseline's resources.
-  DesignPoint optimize_heterogeneous(const DesignPoint& baseline) const;
+  DesignPoint optimize_heterogeneous(const DesignPoint& baseline) const {
+    return search(heterogeneous_space(baseline));
+  }
 
   /// Best temporal-blocked shift-register design (arch/family.hpp)
   /// fitting the device budget: vector width x strip width x temporal
-  /// degree, searched with the same branch-and-bound machinery and the
-  /// same determinism contract as optimize_baseline. Throws
-  /// scl::ResourceError when nothing fits.
-  DesignPoint optimize_temporal() const;
+  /// degree. Throws scl::ResourceError when nothing fits.
+  DesignPoint optimize_temporal() const { return search(temporal_space()); }
 
-  /// Every budget-feasible temporal-shift design, in enumeration order
-  /// (the temporal counterpart of explore()).
-  std::vector<DesignPoint> explore_temporal() const;
+  /// The spaces the three optimize_* searches walk.
+  SearchSpace baseline_space() const;
+  SearchSpace heterogeneous_space(const DesignPoint& baseline) const;
+  SearchSpace temporal_space() const;
+
+  /// Branch-and-bound over `space`: returns select_best(explore(space))
+  /// while evaluating only the candidates whose latency bound is within
+  /// kPruneMargin of a feasible seed. Throws scl::ResourceError when
+  /// nothing fits. The feasible designs it evaluates feed
+  /// retained_frontier().
+  DesignPoint search(const SearchSpace& space) const;
+
+  /// Every feasible design of `space`, in enumeration order: each chain
+  /// is walked up to its first design that breaks the cap (resource use
+  /// grows with the depth, so the rest of the chain cannot fit either).
+  std::vector<DesignPoint> explore(const SearchSpace& space) const;
 
   /// Evaluates one configuration (prediction + resources) without
-  /// feasibility filtering. Useful for sweeps and ablation studies.
-  /// Memoized: repeated calls with the same config hit the eval cache.
+  /// feasibility filtering. Useful for sweeps and ablation studies. Each
+  /// call prices the design afresh.
   DesignPoint evaluate(const sim::DesignConfig& config) const;
 
   /// All budget-feasible designs of `kind` that are Pareto-optimal in
@@ -137,10 +205,6 @@ class Optimizer {
   /// memory footprint.
   std::vector<DesignPoint> pareto_frontier(sim::DesignKind kind) const;
 
-  /// Every budget-feasible design of `kind`, in enumeration order — the
-  /// raw material of pareto_frontier() and optimize_baseline().
-  std::vector<DesignPoint> explore(sim::DesignKind kind) const;
-
   /// The resource budget configurations must fit
   /// (device capacity x resource_fraction).
   fpga::ResourceVector budget() const;
@@ -148,59 +212,57 @@ class Optimizer {
   const OptimizerOptions& options() const { return options_; }
   const CandidateSpace& space() const { return space_; }
 
-  /// Evaluation counters (candidates, cache hits, wall-clock) accumulated
+  /// Evaluation counters (candidates, reuses, wall-clock) accumulated
   /// over every search this optimizer ran.
-  DseStats dse_stats() const { return engine_.stats(); }
+  DseStats dse_stats() const;
 
   /// The (cycles, BRAM18) Pareto front of every feasible design the
-  /// optimize_* searches evaluated, accumulated across searches. With
-  /// pruning on this covers the latency-competitive band the search kept
-  /// (bounds more than kPruneMargin above the incumbent are discarded
-  /// unevaluated) — the high-latency/low-BRAM tail of the exhaustive
-  /// frontier is intentionally absent; pareto_frontier() computes the
-  /// full curve.
+  /// searches evaluated, accumulated across searches. It covers the
+  /// latency-competitive band the search kept (bounds more than
+  /// kPruneMargin above the seed are discarded unevaluated) — the
+  /// high-latency/low-BRAM tail of the exhaustive frontier is
+  /// intentionally absent; pareto_frontier() computes the full curve.
   const std::vector<DesignPoint>& retained_frontier() const {
     return retained_.points();
   }
 
   /// Pruning margin: a candidate is discarded only when its admissible
-  /// latency bound exceeds kPruneMargin x the incumbent's exact latency.
-  /// The running-best scan's 1.0005x near-tie band lets the incumbent
-  /// drift above the true optimum by a bounded chain of near-tie
-  /// replacements (worst case ~1.065x across the shipped candidate
-  /// spaces); 1.10 leaves headroom beyond that, so every candidate the
-  /// exhaustive scan could ever select survives the prune.
+  /// latency bound exceeds kPruneMargin x the seed's exact latency. Any
+  /// margin of at least kNearTie is sound: a design select_best() can
+  /// pick has latency <= kNearTie x c* <= kNearTie x seed, and its bound
+  /// is no higher. The margin stays at 1.10 because it sets the latency
+  /// band of retained_frontier(), which the report and the artifact
+  /// carry.
   static constexpr double kPruneMargin = 1.10;
 
  private:
-  DesignPoint select_best(const std::vector<DesignPoint>& feasible) const;
+  /// A design Phase A priced, by enumeration index.
+  struct Probe {
+    std::int64_t index = 0;
+    DesignPoint point;
+  };
 
-  /// Branch-and-bound under resource cap `cap` over a space whose
-  /// candidates are enumeration indices: `bound_space` bounds it (Phase
-  /// A), `config_at` builds the config of an index, and runs of
-  /// `chain_length` consecutive indices form one chain. A seed/keep phase
-  /// is followed by one chain evaluation of the kept subsets (which
-  /// preserves the monotone early exit on over-budget depth tails).
-  /// Returns the same design the exhaustive filter-and-select path
-  /// returns, or nullopt when nothing feasible exists. Feasible points
-  /// feed retained_.
-  std::optional<DesignPoint> branch_and_bound(
-      const std::function<BoundedSpace()>& bound_space,
-      const std::function<sim::DesignConfig(std::int64_t)>& config_at,
-      std::int64_t chain_length, const fpga::ResourceVector& cap) const;
-
-  /// branch_and_bound over a product space.
-  std::optional<DesignPoint> branch_and_bound(
-      const CandidateAxes& axes, const fpga::ResourceVector& cap) const;
+  /// A product space over `axes` under the device budget.
+  SearchSpace product_space(const char* family, CandidateAxes axes) const;
+  /// Prediction + resources of one config, uncounted.
+  DesignPoint price(const sim::DesignConfig& config) const;
+  /// Walks the ascending `indices` of `space` chain by chain, stopping
+  /// each chain at its first design that breaks the cap. Designs in
+  /// `probes` (sorted by index) are reused, not priced again. Returns the
+  /// feasible designs in index order.
+  std::vector<DesignPoint> walk(const SearchSpace& space,
+                                const std::vector<std::int64_t>& indices,
+                                std::vector<Probe> probes) const;
 
   const scl::stencil::StencilProgram* program_;
   OptimizerOptions options_;
   CandidateSpace space_;
   model::LowerBoundModel bound_model_;
-  /// Mutable: the engine's cache and counters advance under const
+  model::PerfModel perf_model_;
+  fpga::ResourceModel resource_model_;
+  /// Mutable: counters and the retained front are by-products of const
   /// searches; evaluation itself is pure.
-  mutable EvaluationEngine engine_;
-  /// Mutable for the same reason: a by-product of const searches.
+  mutable DseStats stats_;
   mutable ParetoFront retained_;
 };
 

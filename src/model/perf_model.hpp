@@ -46,8 +46,7 @@ struct Prediction {
 
 /// PerfModel holds only read-only references (the program, the device
 /// spec, the mode) and predict() keeps all working state on the stack, so
-/// predict() is a pure function of the config. Memoization belongs in
-/// core::EvalCache, not here.
+/// predict() is a pure function of the config.
 class PerfModel {
  public:
   PerfModel(const scl::stencil::StencilProgram& program,

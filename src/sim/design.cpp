@@ -160,10 +160,6 @@ std::uint64_t fnv1a(const DesignKey& key) {
 
 std::uint64_t DesignConfig::hash() const { return fnv1a(key()); }
 
-std::size_t DesignKeyHash::operator()(const DesignKey& key) const {
-  return static_cast<std::size_t>(fnv1a(key));
-}
-
 std::string DesignConfig::summary(int dims) const {
   std::vector<std::string> tiles;
   std::vector<std::string> cus;

@@ -38,19 +38,12 @@ const char* to_string(DesignKind kind);
 /// analytical model, the resource estimate, the simulator and codegen,
 /// packed into one lexicographically comparable tuple. Two configs with
 /// equal keys evaluate identically, which is what makes the key usable
-/// both as the eval-cache key and as the final tie-breaker of the
-/// deterministic design ordering.
+/// as the final tie-breaker of the deterministic design ordering.
 struct DesignKey {
   std::array<std::int64_t, 14> v{};
 
   friend bool operator==(const DesignKey&, const DesignKey&) = default;
   friend auto operator<=>(const DesignKey&, const DesignKey&) = default;
-};
-
-/// Hash functor for DesignKey (FNV-1a over the packed words), for
-/// unordered containers.
-struct DesignKeyHash {
-  std::size_t operator()(const DesignKey& key) const;
 };
 
 struct DesignConfig {

@@ -1,10 +1,11 @@
 // The DSE determinism contract: explore(), the optimize_* searches and
 // pareto_frontier() return byte-identical results with pruning on or off
-// and on repeated runs — candidates are evaluated in enumeration order,
-// and selection uses the explicit deterministic comparator instead of
-// enumeration order.
+// (search() against the exhaustive oracle) and on repeated runs —
+// candidates are evaluated in enumeration order, and selection is a total
+// order (select_best, design_order) instead of enumeration order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -13,8 +14,6 @@
 
 namespace scl::core {
 namespace {
-
-using scl::sim::DesignKind;
 
 /// Exact comparison, doubles included: "byte-identical" is the contract.
 void expect_identical(const DesignPoint& a, const DesignPoint& b,
@@ -46,7 +45,7 @@ struct Scenario {
 
 std::vector<Scenario> scenarios() {
   // Scaled-down instances of three suite kernels; small enough to search
-  // twice (pruned and exhaustive), large enough that the 2-D/3-D spaces
+  // twice (searched and exhaustive), large enough that the 2-D/3-D spaces
   // exercise every enumeration axis.
   std::vector<Scenario> out;
   out.push_back({"Jacobi-2D", scl::stencil::make_jacobi2d(512, 512, 64)});
@@ -60,32 +59,29 @@ TEST(DseDeterminismTest, CrossFamilyOptimaMatchWithPruningOnAndOff) {
   // optimum equals the exhaustive optimum, bit for bit.
   for (const Scenario& scenario : scenarios()) {
     SCOPED_TRACE(scenario.name);
-    OptimizerOptions exhaustive_options;
-    exhaustive_options.prune = false;
-    const Optimizer exhaustive(scenario.program, exhaustive_options);
-    OptimizerOptions pruned_options;
-    pruned_options.prune = true;
-    const Optimizer pruned(scenario.program, pruned_options);
-
-    const DesignPoint base_e = exhaustive.optimize_baseline();
-    const DesignPoint base_p = pruned.optimize_baseline();
-    expect_identical(base_p, base_e, "baseline prune on/off");
-    expect_identical(pruned.optimize_heterogeneous(base_p),
-                     exhaustive.optimize_heterogeneous(base_e),
+    const Optimizer optimizer(scenario.program, OptimizerOptions{});
+    auto oracle = [&](const SearchSpace& space) {
+      return select_best(optimizer.explore(space));
+    };
+    const DesignPoint base = optimizer.optimize_baseline();
+    expect_identical(base, oracle(optimizer.baseline_space()),
+                     "baseline prune on/off");
+    expect_identical(optimizer.optimize_heterogeneous(base),
+                     oracle(optimizer.heterogeneous_space(base)),
                      "heterogeneous prune on/off");
-    expect_identical(pruned.optimize_temporal(),
-                     exhaustive.optimize_temporal(),
+    expect_identical(optimizer.optimize_temporal(),
+                     oracle(optimizer.temporal_space()),
                      "temporal prune on/off");
   }
 }
 
 TEST(DseDeterminismTest, RepeatedRunsAreStable) {
-  // Same optimizer, repeated searches (now cache-warm): identical output.
+  // Same optimizer, repeated walks: identical output.
   const auto p = scl::stencil::make_jacobi2d(512, 512, 64);
   const Optimizer opt(p, OptimizerOptions{});
-  const std::vector<DesignPoint> first = opt.explore(DesignKind::kBaseline);
-  const std::vector<DesignPoint> second = opt.explore(DesignKind::kBaseline);
-  expect_identical(first, second, "cache-warm explore");
+  const std::vector<DesignPoint> first = opt.explore(opt.baseline_space());
+  const std::vector<DesignPoint> second = opt.explore(opt.baseline_space());
+  expect_identical(first, second, "repeated explore");
 }
 
 TEST(DseDeterminismTest, ComparatorBreaksLatencyTiesExplicitly) {
@@ -129,8 +125,7 @@ TEST(DseDeterminismTest, BestIsFeasibleAndNearOptimal) {
   const auto p = scl::stencil::make_jacobi2d(512, 512, 64);
   const Optimizer opt(p, OptimizerOptions{});
   const DesignPoint best = opt.optimize_baseline();
-  const std::vector<DesignPoint> feasible =
-      opt.explore(DesignKind::kBaseline);
+  const std::vector<DesignPoint> feasible = opt.explore(opt.baseline_space());
 
   bool found = false;
   for (const DesignPoint& point : feasible) {
@@ -139,6 +134,36 @@ TEST(DseDeterminismTest, BestIsFeasibleAndNearOptimal) {
     if (point.config == best.config) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(DseDeterminismTest, NearTieChainSelectsWithinTheOptimumsBand) {
+  // A near-tie chain: B is within kNearTie of A, and C within kNearTie of
+  // B but not of A. A running-best scan over the pairwise near-tie test
+  // would walk A -> B -> C in this order; the two-step rule only ties
+  // designs to the fastest one, so it picks B (more kernels than A, and
+  // C lies outside A's band) under every input order.
+  auto point = [](double cycles, int kernels) {
+    DesignPoint p;
+    p.prediction.total_cycles = cycles;
+    p.config.parallelism = {kernels, 1, 1};
+    p.resources.total = fpga::ResourceVector{100, 100, 10, 50};
+    return p;
+  };
+  const DesignPoint a = point(1.0e6, 1);
+  const DesignPoint b = point(1.0004e6, 2);
+  const DesignPoint c = point(1.0008e6, 4);
+  ASSERT_LE(b.prediction.total_cycles, kNearTie * a.prediction.total_cycles);
+  ASSERT_LE(c.prediction.total_cycles, kNearTie * b.prediction.total_cycles);
+  ASSERT_GT(c.prediction.total_cycles, kNearTie * a.prediction.total_cycles);
+
+  std::vector<DesignPoint> order{a, b, c};
+  std::sort(order.begin(), order.end(), design_order);
+  int permutations = 0;
+  do {
+    expect_identical(select_best(order), b, "near-tie chain");
+    ++permutations;
+  } while (std::next_permutation(order.begin(), order.end(), design_order));
+  EXPECT_EQ(permutations, 6);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Property tests for the branch-and-bound DSE layer:
 //
-//   * the pruned search must choose designs byte-identical to the
-//     exhaustive search on every suite kernel (the pruning-correctness
-//     half of the determinism contract; repeat-run stability lives in
-//     dse_determinism_test.cpp),
+//   * search(space) must choose designs byte-identical to the exhaustive
+//     oracle, select_best(explore(space)), on every suite kernel (the
+//     pruning-correctness half of the determinism contract; repeat-run
+//     stability lives in dse_determinism_test.cpp),
 //   * LowerBoundModel must be admissible — never above the exact model —
 //     across whole candidate spaces of every suite kernel, both cone
 //     modes, a DDR and an HBM part and the small-grid shapes, including
@@ -68,6 +68,26 @@ void expect_identical(const DesignPoint& a, const DesignPoint& b,
   return ::testing::AssertionSuccess();
 }
 
+/// search(space) must pick the design the exhaustive oracle picks,
+/// select_best(explore(space)), and throw exactly when nothing fits. The
+/// exhaustive walk itself never prunes.
+void expect_search_matches_oracle(const Optimizer& optimizer,
+                                  const SearchSpace& space,
+                                  const std::string& what) {
+  std::optional<DesignPoint> searched;
+  try {
+    searched = optimizer.search(space);
+  } catch (const ResourceError&) {
+  }
+  const std::int64_t pruned = optimizer.dse_stats().candidates_pruned;
+  const std::vector<DesignPoint> feasible = optimizer.explore(space);
+  EXPECT_EQ(optimizer.dse_stats().candidates_pruned, pruned)
+      << what << ": the exhaustive walk must not prune";
+  ASSERT_EQ(searched.has_value(), !feasible.empty())
+      << what << ": pruning changed feasibility";
+  if (searched) expect_identical(*searched, select_best(feasible), what);
+}
+
 /// A small instance of every suite kernel: big enough for a non-trivial
 /// candidate space, small enough that the exhaustive reference stays
 /// cheap under the sanitizers.
@@ -89,44 +109,24 @@ TEST(DsePruneTest, PrunedOptimumMatchesExhaustiveOnEverySuiteKernel) {
     const StencilProgram program = scaled(info);
     for (const char* device : {"xc7vx690t", "xcu280", "s10mx"}) {
       const std::string what = info.name + " on " + device;
-      OptimizerOptions pruned_options;
-      pruned_options.prune = true;
-      pruned_options.device = fpga::find_device(device);
-      OptimizerOptions exhaustive_options = pruned_options;
-      exhaustive_options.prune = false;
-      const Optimizer pruned(program, pruned_options);
-      const Optimizer exhaustive(program, exhaustive_options);
+      OptimizerOptions options;
+      options.device = fpga::find_device(device);
+      const Optimizer optimizer(program, options);
 
-      const DesignPoint base_p = pruned.optimize_baseline();
-      const DesignPoint base_e = exhaustive.optimize_baseline();
-      expect_identical(base_p, base_e, what + " baseline");
-      // The searches must also agree on infeasibility: pruning may never
-      // turn a solvable heterogeneous search into a ResourceError (or
+      expect_search_matches_oracle(optimizer, optimizer.baseline_space(),
+                                   what + " baseline");
+      // The heterogeneous search must also agree on infeasibility:
+      // pruning may never turn a solvable search into a ResourceError (or
       // vice versa). The scaled 1-D instance exercises exactly this
       // branch.
-      std::optional<DesignPoint> het_p;
-      std::optional<DesignPoint> het_e;
-      try {
-        het_p = pruned.optimize_heterogeneous(base_p);
-      } catch (const ResourceError&) {
-      }
-      try {
-        het_e = exhaustive.optimize_heterogeneous(base_e);
-      } catch (const ResourceError&) {
-      }
-      ASSERT_EQ(het_p.has_value(), het_e.has_value())
-          << what << ": pruning changed heterogeneous feasibility";
-      if (het_p.has_value()) {
-        expect_identical(*het_p, *het_e, what + " heterogeneous");
-      }
-      expect_identical(pruned.optimize_temporal(),
-                       exhaustive.optimize_temporal(), what + " temporal");
-
-      const DseStats stats = pruned.dse_stats();
-      EXPECT_GT(stats.candidates_pruned, 0)
+      expect_search_matches_oracle(
+          optimizer,
+          optimizer.heterogeneous_space(optimizer.optimize_baseline()),
+          what + " heterogeneous");
+      expect_search_matches_oracle(optimizer, optimizer.temporal_space(),
+                                   what + " temporal");
+      EXPECT_GT(optimizer.dse_stats().candidates_pruned, 0)
           << what << ": pruning never engaged";
-      EXPECT_EQ(exhaustive.dse_stats().candidates_pruned, 0)
-          << what << ": exhaustive search must not prune";
     }
   }
 }
@@ -134,17 +134,14 @@ TEST(DsePruneTest, PrunedOptimumMatchesExhaustiveOnEverySuiteKernel) {
 TEST(DsePruneTest, SeedBatchCandidatesAreNeverCountedAsPruned) {
   // Phase A evaluates whole seed batches; a batch member past the first
   // feasible one is evaluated, so it must not also count as pruned.
-  // Every distinct evaluation is exactly one cache miss.
+  // Every distinct evaluation is exactly one cache miss (Phase B reuses
+  // the seed batches' designs as hits).
   for (const BenchmarkInfo& info : scl::stencil::paper_benchmarks()) {
     const StencilProgram program = scaled(info);
     OptimizerOptions options;
     const Optimizer optimizer(program, options);
     (void)optimizer.optimize_baseline();
-    std::int64_t total = 0;
-    for (const CandidateChain& chain :
-         optimizer.space().chains(sim::DesignKind::kBaseline)) {
-      total += static_cast<std::int64_t>(chain.configs.size());
-    }
+    const std::int64_t total = optimizer.baseline_space().size();
     const DseStats stats = optimizer.dse_stats();
     EXPECT_LE(stats.candidates_pruned + stats.cache_misses, total)
         << info.name;
@@ -158,18 +155,18 @@ TEST(DsePruneTest, LowerBoundIsAdmissibleAcrossBaselineSpaces) {
     const Optimizer optimizer(program, options);
     const model::LowerBoundModel bound_model(program, options.device);
     std::int64_t checked = 0;
-    for (const CandidateChain& chain :
-         optimizer.space().chains(sim::DesignKind::kBaseline)) {
-      for (const sim::DesignConfig& config : chain.configs) {
-        const model::LowerBound lb = bound_model.bound(config);
-        const DesignPoint exact = optimizer.evaluate(config);
-        ASSERT_LE(lb.cycles, exact.prediction.total_cycles)
-            << name << " " << config.summary(program.dims());
-        ASSERT_TRUE(floors_are_admissible(bound_model, config, lb,
-                                          exact.resources.total))
-            << name << " " << config.summary(program.dims());
-        ++checked;
-      }
+    const CandidateAxes axes =
+        optimizer.space().axes(sim::DesignKind::kBaseline);
+    for (std::int64_t i = 0; i < axes.size(); ++i) {
+      const sim::DesignConfig config = axes.config(i);
+      const model::LowerBound lb = bound_model.bound(config);
+      const DesignPoint exact = optimizer.evaluate(config);
+      ASSERT_LE(lb.cycles, exact.prediction.total_cycles)
+          << name << " " << config.summary(program.dims());
+      ASSERT_TRUE(floors_are_admissible(bound_model, config, lb,
+                                        exact.resources.total))
+          << name << " " << config.summary(program.dims());
+      ++checked;
     }
     EXPECT_GT(checked, 100) << name << ": space unexpectedly tiny";
   }
@@ -191,13 +188,11 @@ TEST(DsePruneTest, LowerBoundIsAdmissibleAcrossHbmReplicatedSpaces) {
         << device.name << ": replication axis did not open up";
     std::int64_t checked = 0;
     std::int64_t replicated = 0;
-    std::vector<CandidateChain> chains =
-        optimizer.space().chains(sim::DesignKind::kBaseline);
-    const std::vector<CandidateChain> temporal =
-        optimizer.space().temporal_chains();
-    chains.insert(chains.end(), temporal.begin(), temporal.end());
-    for (const CandidateChain& chain : chains) {
-      for (const sim::DesignConfig& config : chain.configs) {
+    for (const CandidateAxes& axes :
+         {optimizer.space().axes(sim::DesignKind::kBaseline),
+          optimizer.space().temporal_axes()}) {
+      for (std::int64_t i = 0; i < axes.size(); ++i) {
+        const sim::DesignConfig config = axes.config(i);
         const model::LowerBound lb = bound_model.bound(config);
         const DesignPoint exact = optimizer.evaluate(config);
         ASSERT_LE(lb.cycles, exact.prediction.total_cycles)
@@ -218,33 +213,16 @@ TEST(DsePruneTest, HbmPrunedOptimumMatchesExhaustive) {
   // Pruning correctness must hold with the replication axis live.
   const StencilProgram program =
       scaled(scl::stencil::find_benchmark("Jacobi-2D"));
-  OptimizerOptions pruned_options;
-  pruned_options.prune = true;
-  pruned_options.device = fpga::alveo_u280();
-  OptimizerOptions exhaustive_options = pruned_options;
-  exhaustive_options.prune = false;
-  const Optimizer pruned(program, pruned_options);
-  const Optimizer exhaustive(program, exhaustive_options);
-  const DesignPoint base_p = pruned.optimize_baseline();
-  const DesignPoint base_e = exhaustive.optimize_baseline();
-  expect_identical(base_p, base_e, "HBM baseline");
-  expect_identical(pruned.optimize_temporal(), exhaustive.optimize_temporal(),
-                   "HBM temporal");
-  std::optional<DesignPoint> het_p;
-  std::optional<DesignPoint> het_e;
-  try {
-    het_p = pruned.optimize_heterogeneous(base_p);
-  } catch (const ResourceError&) {
-  }
-  try {
-    het_e = exhaustive.optimize_heterogeneous(base_e);
-  } catch (const ResourceError&) {
-  }
-  ASSERT_EQ(het_p.has_value(), het_e.has_value())
-      << "pruning changed HBM heterogeneous feasibility";
-  if (het_p.has_value()) {
-    expect_identical(*het_p, *het_e, "HBM heterogeneous");
-  }
+  OptimizerOptions options;
+  options.device = fpga::alveo_u280();
+  const Optimizer optimizer(program, options);
+  expect_search_matches_oracle(optimizer, optimizer.baseline_space(),
+                               "HBM baseline");
+  expect_search_matches_oracle(optimizer, optimizer.temporal_space(),
+                               "HBM temporal");
+  expect_search_matches_oracle(
+      optimizer, optimizer.heterogeneous_space(optimizer.optimize_baseline()),
+      "HBM heterogeneous");
 }
 
 TEST(DsePruneTest, DdrDevicesKeepTheSingletonReplicationAxis) {
@@ -417,17 +395,16 @@ TEST_P(LowerBoundSweepTest, BoundIsAdmissibleAndTightOnBaselines) {
       const fpga::ResourceModel resource_model(options.device);
       std::vector<sim::DesignConfig> configs;
       std::vector<std::array<int, 3>> arrangements;
-      for (const CandidateChain& chain :
-           space.chains(sim::DesignKind::kBaseline)) {
-        configs.insert(configs.end(), chain.configs.begin(),
-                       chain.configs.end());
-        const sim::DesignConfig& head = chain.configs.front();
-        if (head.replication == 1 &&
+      const CandidateAxes axes = space.axes(sim::DesignKind::kBaseline);
+      for (std::int64_t i = 0; i < axes.size(); ++i) {
+        const sim::DesignConfig config = axes.config(i);
+        configs.push_back(config);
+        if (config.replication == 1 &&
             std::find(arrangements.begin(), arrangements.end(),
-                      head.parallelism) == arrangements.end()) {
-          arrangements.push_back(head.parallelism);
+                      config.parallelism) == arrangements.end()) {
+          arrangements.push_back(config.parallelism);
           const std::vector<sim::DesignConfig> het =
-              space.heterogeneous_candidates(head);
+              space.heterogeneous_candidates(config);
           configs.insert(configs.end(), het.begin(), het.end());
         }
       }
@@ -490,20 +467,20 @@ TEST_P(LowerBoundSweepTest, BoundIsAdmissibleOnTemporalCandidates) {
       const model::PerfModel perf_model(program, options.device,
                                         options.cone_mode);
       const fpga::ResourceModel resource_model(options.device);
-      for (const CandidateChain& chain : space.temporal_chains()) {
-        for (const sim::DesignConfig& config : chain.configs) {
-          const model::LowerBound lb = bound_model.bound(config);
-          ASSERT_LE(lb.cycles, perf_model.predict_cycles(config))
-              << info.name << " " << device_name << " "
-              << config.summary(program.dims());
-          ASSERT_TRUE(floors_are_admissible(
-              bound_model, config, lb,
-              estimate_design_resources(program, config, resource_model)
-                  .total))
-              << info.name << " " << device_name << " "
-              << config.summary(program.dims());
-          ++checked;
-        }
+      const CandidateAxes axes = space.temporal_axes();
+      for (std::int64_t i = 0; i < axes.size(); ++i) {
+        const sim::DesignConfig config = axes.config(i);
+        const model::LowerBound lb = bound_model.bound(config);
+        ASSERT_LE(lb.cycles, perf_model.predict_cycles(config))
+            << info.name << " " << device_name << " "
+            << config.summary(program.dims());
+        ASSERT_TRUE(floors_are_admissible(
+            bound_model, config, lb,
+            estimate_design_resources(program, config, resource_model)
+                .total))
+            << info.name << " " << device_name << " "
+            << config.summary(program.dims());
+        ++checked;
       }
     }
   }
@@ -574,25 +551,28 @@ TEST(DsePruneTest, PaperScaleBaselineCandidateCountsArePinned) {
   // `before` is the evaluated count of the BRAM-only bound; the resource
   // floor and the group walk may only lower it. `bounded` counts the
   // bounds the group walk computed: whole (R, K, U) groups that cannot
-  // meet the DSP/LUT/FF budget are never bounded. The exact pins make
-  // any later loosening fail loudly.
+  // meet the DSP/LUT/FF budget are never bounded. `reused` counts the
+  // Phase-B walks served by a design a seed batch already priced
+  // (DseStats::cache_hits). The exact pins make any later loosening fail
+  // loudly.
   struct Pin {
     const char* kernel;
     const char* device;
     std::int64_t before;
     std::int64_t evaluated;
     std::int64_t bounded;
+    std::int64_t reused;
   };
   const Pin pins[] = {
-      {"Jacobi-3D", "xc7vx690t", 28, 28, 13340},
-      {"HotSpot-3D", "xc7vx690t", 242, 32, 8185},
-      {"FDTD-3D", "xc7vx690t", 60, 32, 6419},
-      {"Jacobi-3D", "xcu280", 4843, 147, 44124},
-      {"HotSpot-3D", "xcu280", 7338, 238, 31870},
-      {"FDTD-3D", "xcu280", 6267, 112, 19236},
-      {"Jacobi-3D", "s10mx", 10806, 421, 44814},
-      {"HotSpot-3D", "s10mx", 13582, 223, 30369},
-      {"FDTD-3D", "s10mx", 14271, 216, 17046},
+      {"Jacobi-3D", "xc7vx690t", 28, 28, 13340, 8},
+      {"HotSpot-3D", "xc7vx690t", 242, 32, 8185, 8},
+      {"FDTD-3D", "xc7vx690t", 60, 32, 6419, 8},
+      {"Jacobi-3D", "xcu280", 4843, 147, 44124, 8},
+      {"HotSpot-3D", "xcu280", 7338, 238, 31870, 8},
+      {"FDTD-3D", "xcu280", 6267, 112, 19236, 8},
+      {"Jacobi-3D", "s10mx", 10806, 421, 44814, 8},
+      {"HotSpot-3D", "s10mx", 13582, 223, 30369, 8},
+      {"FDTD-3D", "s10mx", 14271, 216, 17046, 8},
   };
   for (const Pin& pin : pins) {
     const StencilProgram program =
@@ -607,6 +587,8 @@ TEST(DsePruneTest, PaperScaleBaselineCandidateCountsArePinned) {
     EXPECT_LE(stats.candidates_evaluated, pin.before)
         << pin.kernel << " " << pin.device;
     EXPECT_EQ(stats.candidates_bounded, pin.bounded)
+        << pin.kernel << " " << pin.device;
+    EXPECT_EQ(stats.cache_hits, pin.reused)
         << pin.kernel << " " << pin.device;
   }
 }

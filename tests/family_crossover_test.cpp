@@ -125,20 +125,19 @@ TEST(FamilyCrossover, HbmWinnerUsesSpatialReplication) {
 
 TEST(FamilyCrossover, HbmWinnerIsInvariantToPruning) {
   // The pinned crossover must be a property of the model, not of the
-  // search schedule: pruning on and off land on the byte-identical
-  // winning design.
+  // search schedule: the pruned search and the exhaustive oracle land on
+  // the byte-identical winning design.
   const auto program = scl::stencil::make_jacobi2d(512, 512, 64);
-  auto winner = [&](bool prune) {
-    OptimizerOptions options;
-    options.device = fpga::find_device("xcu280");
-    options.prune = prune;
-    const Optimizer optimizer(program, options);
-    const DesignPoint base = optimizer.optimize_baseline();
-    return optimizer.optimize_heterogeneous(base);
-  };
-  const DesignPoint reference = winner(true);
+  OptimizerOptions options;
+  options.device = fpga::find_device("xcu280");
+  const Optimizer optimizer(program, options);
+  const DesignPoint reference =
+      optimizer.optimize_heterogeneous(optimizer.optimize_baseline());
   EXPECT_GT(reference.config.replication, 1);
-  const DesignPoint other = winner(false);
+  const DesignPoint base =
+      select_best(optimizer.explore(optimizer.baseline_space()));
+  const DesignPoint other =
+      select_best(optimizer.explore(optimizer.heterogeneous_space(base)));
   EXPECT_EQ(reference.config, other.config);
   EXPECT_EQ(reference.prediction.total_cycles, other.prediction.total_cycles);
   EXPECT_EQ(reference.resources.total.bram18, other.resources.total.bram18);

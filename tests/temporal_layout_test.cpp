@@ -19,7 +19,7 @@
 namespace scl::arch {
 namespace {
 
-using scl::core::CandidateChain;
+using scl::core::CandidateAxes;
 using scl::core::Optimizer;
 using scl::core::OptimizerOptions;
 using scl::sim::DesignConfig;
@@ -138,29 +138,25 @@ TEST(TemporalLayout, LowerBoundAdmissibleAcrossTemporalSpace) {
     const Optimizer optimizer(prog, options);
     const model::LowerBoundModel bound_model(prog, options.device);
     const model::PerfModel exact(prog, options.device, options.cone_mode);
-    for (const CandidateChain& chain : optimizer.space().temporal_chains()) {
-      for (const DesignConfig& config : chain.configs) {
-        const model::LowerBound lb = bound_model.bound(config);
-        const auto point = optimizer.evaluate(config);
-        EXPECT_LE(lb.cycles, exact.predict(config).total_cycles * 1.0000001)
-            << name << " " << config.summary(prog.dims());
-        EXPECT_LE(lb.floor.bram18, point.resources.total.bram18)
-            << name << " " << config.summary(prog.dims());
-      }
+    const CandidateAxes axes = optimizer.space().temporal_axes();
+    for (std::int64_t i = 0; i < axes.size(); ++i) {
+      const DesignConfig config = axes.config(i);
+      const model::LowerBound lb = bound_model.bound(config);
+      const auto point = optimizer.evaluate(config);
+      EXPECT_LE(lb.cycles, exact.predict(config).total_cycles * 1.0000001)
+          << name << " " << config.summary(prog.dims());
+      EXPECT_LE(lb.floor.bram18, point.resources.total.bram18)
+          << name << " " << config.summary(prog.dims());
     }
   }
 }
 
 TEST(TemporalLayout, OptimizeTemporalPruneInvariant) {
   const StencilProgram prog = scl::stencil::make_jacobi2d(128, 128, 16);
-  OptimizerOptions pruned_opts;
-  pruned_opts.prune = true;
-  OptimizerOptions exhaustive_opts;
-  exhaustive_opts.prune = false;
-  const Optimizer pruned(prog, pruned_opts);
-  const Optimizer exhaustive(prog, exhaustive_opts);
-  const auto a = pruned.optimize_temporal();
-  const auto b = exhaustive.optimize_temporal();
+  const Optimizer optimizer(prog, OptimizerOptions{});
+  const auto a = optimizer.optimize_temporal();
+  const auto b =
+      scl::core::select_best(optimizer.explore(optimizer.temporal_space()));
   EXPECT_EQ(a.config, b.config);
   EXPECT_EQ(a.config.family, DesignFamily::kTemporalShift);
   EXPECT_EQ(0, std::memcmp(&a.prediction, &b.prediction,
