@@ -36,10 +36,8 @@
 //
 // Shared options:
 //   --store <dir>         artifact-store root (default .stencild-store)
-//   --shards <d1,d2,...>  shard the store across several roots (one
-//                         consistent-hash namespace); overrides --store
 //   --no-store            disable persistence (coalescing still applies)
-//   --capacity-mb <n>     per-shard size bound before LRU eviction
+//   --capacity-mb <n>     on-disk size bound before LRU eviction
 //   --mem-cache-mb <n>    hot in-memory artifact tier bound (default 64;
 //                         0 disables)
 //   --threads <n>         concurrent synthesis workers (default:
@@ -53,8 +51,8 @@
 //                         guarantee in daemon mode)
 //
 // Every job is content-addressed: identical (program, device, options)
-// requests are served from the tiered artifact store (memory, then the
-// key's disk shard), and identical concurrent requests coalesce onto one
+// requests are served from the tiered artifact store (memory, then
+// disk), and identical concurrent requests coalesce onto one
 // synthesis.
 #include <csignal>
 #include <filesystem>
@@ -78,7 +76,7 @@ int usage() {
   std::cerr
       << "usage: stencild [--suite | --jobs <manifest.jsonl> | "
          "--listen <socket>]\n"
-         "  [--store <dir>] [--shards <d1,d2,...>] [--no-store] "
+         "  [--store <dir>] [--no-store] "
          "[--capacity-mb <n>]\n"
          "  [--mem-cache-mb <n>] [--threads <n>] [--device <name>] "
          "[--emit <dir>]\n"
@@ -270,7 +268,6 @@ int main(int argc, char** argv) {
   bool require_warm = false;
   bool quiet = false;
   std::string store_dir = ".stencild-store";
-  std::string shards_arg;
   std::string device_name;
   std::string emit_dir;
   std::string stats_json_path;
@@ -308,8 +305,6 @@ int main(int argc, char** argv) {
       daemon_cli.tenant_burst = std::stod(next());
     } else if (arg == "--store") {
       store_dir = next();
-    } else if (arg == "--shards") {
-      shards_arg = next();
     } else if (arg == "--no-store") {
       no_store = true;
     } else if (arg == "--capacity-mb") {
@@ -349,9 +344,6 @@ int main(int argc, char** argv) {
   try {
     scl::serve::ServiceOptions options;
     options.store_dir = no_store ? "" : store_dir;
-    if (!no_store && !shards_arg.empty()) {
-      options.store_shards = scl::split(shards_arg, ',');
-    }
     options.store_capacity_bytes = capacity_mb * 1024 * 1024;
     options.memory_cache_bytes = mem_cache_mb * 1024 * 1024;
     options.threads = threads;

@@ -21,15 +21,11 @@ std::string ServiceStats::to_string() const {
 
 SynthesisService::SynthesisService(ServiceOptions options)
     : options_(std::move(options)) {
-  if (!options_.store_shards.empty() || !options_.store_dir.empty()) {
-    TieredStoreOptions tiered;
-    tiered.shard_roots = options_.store_shards.empty()
-                             ? std::vector<std::string>{options_.store_dir}
-                             : options_.store_shards;
-    tiered.disk_capacity_bytes = options_.store_capacity_bytes;
-    tiered.memory_capacity_bytes = options_.memory_cache_bytes;
-    tiered.warm_memory_tier = options_.warm_memory_cache;
-    store_ = std::make_unique<TieredArtifactStore>(std::move(tiered));
+  if (!options_.store_dir.empty()) {
+    store_ = std::make_unique<TieredArtifactStore>(
+        TieredStoreOptions{options_.store_dir, options_.store_capacity_bytes,
+                           options_.memory_cache_bytes});
+    if (options_.warm_memory_cache) store_->warm_memory_tier();
   }
   scheduler_ = std::make_unique<
       Scheduler<std::shared_ptr<const SynthesisArtifact>>>(
@@ -214,7 +210,7 @@ std::string SynthesisService::render_metrics_exposition() const {
            static_cast<double>(store.hits()));
     mirror("scl_serve_store_memory_hits", "hot in-memory tier hits",
            static_cast<double>(store.memory_hits));
-    mirror("scl_serve_store_disk_hits", "disk shard hits (promotions)",
+    mirror("scl_serve_store_disk_hits", "disk hits",
            static_cast<double>(store.disk_hits));
     mirror("scl_serve_store_demotions", "memory-tier LRU evictions",
            static_cast<double>(store.demotions));

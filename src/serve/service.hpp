@@ -5,7 +5,7 @@
 //   canonicalize program  ->  content address (serve/serialize.hpp)
 //     -> coalescing scheduler (serve/scheduler.hpp)
 //       -> tiered store lookup (serve/tiered_store.hpp: memory LRU, then
-//          the key's consistent-hash disk shard)
+//          the on-disk store)
 //         -> hit:  parse artifact, respond warm (memory hits skip disk)
 //         -> miss: Framework::synthesize + verify, persist, respond cold
 //
@@ -45,15 +45,11 @@ namespace scl::serve {
 
 struct ServiceOptions {
   /// Artifact-store root; empty disables persistence (every job is a
-  /// cold synthesis, coalescing still applies). Ignored when
-  /// store_shards is non-empty.
+  /// cold synthesis, coalescing still applies).
   std::string store_dir;
   std::int64_t store_capacity_bytes = 256ll * 1024 * 1024;
-  /// Explicit disk shard roots for the tiered store; when empty, a
-  /// single shard at store_dir is used.
-  std::vector<std::string> store_shards;
   /// Byte bound of the hot in-memory artifact tier; <= 0 disables it
-  /// (every warm hit re-reads and re-validates its disk shard).
+  /// (every warm hit re-reads and re-validates its disk file).
   std::int64_t memory_cache_bytes = 64ll * 1024 * 1024;
   /// Preload the memory tier from the most-recently-used disk artifacts
   /// at startup, so a restarted daemon answers its hot set from memory
@@ -92,7 +88,7 @@ struct ServiceStats {
   std::int64_t requests = 0;
   std::int64_t store_hits = 0;         ///< memory + disk tier hits
   std::int64_t store_memory_hits = 0;  ///< hot in-memory tier hits
-  std::int64_t store_disk_hits = 0;    ///< disk shard hits (promotions)
+  std::int64_t store_disk_hits = 0;    ///< disk hits
   std::int64_t store_demotions = 0;    ///< memory-tier LRU evictions
   std::int64_t store_misses = 0;
   std::int64_t coalesced = 0;

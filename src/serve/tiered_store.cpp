@@ -1,75 +1,24 @@
 #include "serve/tiered_store.hpp"
 
-#include <algorithm>
-#include <iterator>
-
-#include "serve/serialize.hpp"
-#include "support/error.hpp"
+#include <utility>
+#include <vector>
 
 namespace scl::serve {
 
-namespace {
-
-/// Ring positions need full 64-bit dispersion, and fnv1a64 alone cannot
-/// give it here: virtual-node names share a long root prefix and differ
-/// only in a short "#v" suffix, which leaves each shard's 64 points
-/// clustered in a couple of arcs (measured: a 4-shard ring where one
-/// shard owned 74% of the keyspace and a new shard captured 0 keys). A
-/// splitmix64-style finalizer restores avalanche.
-std::uint64_t ring_hash(std::string_view data) {
-  std::uint64_t z = fnv1a64(data);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 TieredArtifactStore::TieredArtifactStore(TieredStoreOptions options)
-    : options_(std::move(options)) {
-  if (options_.shard_roots.empty()) {
-    throw Error("TieredArtifactStore: needs at least one shard root");
-  }
-  shards_.reserve(options_.shard_roots.size());
-  for (std::size_t s = 0; s < options_.shard_roots.size(); ++s) {
-    shards_.push_back(std::make_unique<ArtifactStore>(ArtifactStoreOptions{
-        options_.shard_roots[s], options_.disk_capacity_bytes}));
-    // Ring points hash the root *name*, not the index, so a shard keeps
-    // its keyspace slice when the roots list is reordered.
-    for (int v = 0; v < kVirtualNodes; ++v) {
-      const std::uint64_t point = ring_hash(
-          options_.shard_roots[s] + "#" + std::to_string(v));
-      ring_.emplace_back(point, s);
-    }
-  }
-  std::sort(ring_.begin(), ring_.end());
-  if (options_.warm_memory_tier && options_.memory_capacity_bytes > 0) {
-    warm_memory_tier();
-  }
-}
+    : memory_capacity_bytes_(options.memory_capacity_bytes),
+      disk_(ArtifactStoreOptions{std::move(options.root),
+                                 options.disk_capacity_bytes}) {}
 
 void TieredArtifactStore::warm_memory_tier() {
-  // Merge the per-shard recency lists and take the globally most-recent
-  // artifacts until the memory budget is full. Loading through the shard
-  // validates each payload (checksums), so warmup never caches rot.
-  std::vector<ArtifactStore::RecencyEntry> all;
-  for (const auto& shard : shards_) {
-    auto entries = shard->recency();
-    all.insert(all.end(), std::make_move_iterator(entries.begin()),
-               std::make_move_iterator(entries.end()));
-  }
-  std::sort(all.begin(), all.end(),
-            [](const ArtifactStore::RecencyEntry& a,
-               const ArtifactStore::RecencyEntry& b) {
-              return a.mtime != b.mtime ? a.mtime > b.mtime : a.key < b.key;
-            });
-  std::int64_t budget = options_.memory_capacity_bytes;
+  // recency() is already most-recent first; take artifacts in that order
+  // until the memory budget is full.
+  std::int64_t budget = memory_capacity_bytes_;
   std::vector<std::pair<std::string, std::string>> hot;
-  for (const auto& entry : all) {
+  for (const auto& entry : disk_.recency()) {
     if (entry.bytes > budget) break;  // on-disk bytes upper-bound memory cost
-    std::optional<std::string> payload =
-        shards_[shard_for(entry.key)]->load(entry.key);
-    if (!payload) continue;  // corrupt: dropped by the shard, skip
+    std::optional<std::string> payload = disk_.load(entry.key);
+    if (!payload) continue;  // corrupt: dropped by the disk store, skip
     budget -= static_cast<std::int64_t>(entry.key.size() + payload->size());
     hot.emplace_back(entry.key, std::move(*payload));
     if (budget <= 0) break;
@@ -83,20 +32,11 @@ void TieredArtifactStore::warm_memory_tier() {
   }
 }
 
-std::size_t TieredArtifactStore::shard_for(const std::string& key) const {
-  const std::uint64_t point = ring_hash(key);
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), point,
-      [](const auto& node, std::uint64_t p) { return node.first < p; });
-  if (it == ring_.end()) it = ring_.begin();  // wrap around the ring
-  return it->second;
-}
-
 void TieredArtifactStore::cache_locked(const std::string& key,
                                        const std::string& payload) {
-  if (options_.memory_capacity_bytes <= 0) return;
+  if (memory_capacity_bytes_ <= 0) return;
   const auto bytes = static_cast<std::int64_t>(key.size() + payload.size());
-  if (bytes > options_.memory_capacity_bytes) return;  // would evict all
+  if (bytes > memory_capacity_bytes_) return;  // would evict all
   if (const auto it = index_.find(key); it != index_.end()) {
     memory_bytes_ -= static_cast<std::int64_t>(
         it->second->key.size() + it->second->payload.size());
@@ -106,7 +46,7 @@ void TieredArtifactStore::cache_locked(const std::string& key,
   lru_.push_front(MemoryEntry{key, payload});
   index_[key] = lru_.begin();
   memory_bytes_ += bytes;
-  while (memory_bytes_ > options_.memory_capacity_bytes) {
+  while (memory_bytes_ > memory_capacity_bytes_) {
     const MemoryEntry& victim = lru_.back();
     memory_bytes_ -= static_cast<std::int64_t>(victim.key.size() +
                                                victim.payload.size());
@@ -128,25 +68,24 @@ std::optional<std::string> TieredArtifactStore::load(const std::string& key,
       return it->second->payload;
     }
   }
-  // Disk I/O happens outside the memory lock so loads on different
-  // shards overlap.
-  std::optional<std::string> payload = shards_[shard_for(key)]->load(key);
+  // Disk I/O happens outside the memory lock so memory hits never wait
+  // on a disk read.
+  std::optional<std::string> payload = disk_.load(key);
   std::lock_guard<std::mutex> lock(mutex_);
   if (!payload) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.disk_hits;
-  ++stats_.promotions;
   cache_locked(key, *payload);
   return payload;
 }
 
 void TieredArtifactStore::store(const std::string& key,
                                 const std::string& payload) {
-  // Durability before visibility: the shard write lands first, so a
+  // Durability before visibility: the disk write lands first, so a
   // memory entry always has a disk backing to demote onto.
-  shards_[shard_for(key)]->store(key, payload);
+  disk_.store(key, payload);
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.writes;
   cache_locked(key, payload);
@@ -157,7 +96,7 @@ bool TieredArtifactStore::contains(const std::string& key) const {
     std::lock_guard<std::mutex> lock(mutex_);
     if (index_.count(key) != 0) return true;
   }
-  return shards_[shard_for(key)]->contains(key);
+  return disk_.contains(key);
 }
 
 std::size_t TieredArtifactStore::memory_entries() const {
@@ -170,29 +109,15 @@ std::int64_t TieredArtifactStore::memory_bytes() const {
   return memory_bytes_;
 }
 
-std::int64_t TieredArtifactStore::total_bytes() const {
-  std::int64_t total = 0;
-  for (const auto& shard : shards_) total += shard->total_bytes();
-  return total;
-}
-
-std::size_t TieredArtifactStore::entry_count() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->entry_count();
-  return total;
-}
-
 TieredStoreStats TieredArtifactStore::stats() const {
   TieredStoreStats stats;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stats = stats_;
   }
-  for (const auto& shard : shards_) {
-    const ArtifactStoreStats disk = shard->stats();
-    stats.evictions += disk.evictions;
-    stats.corrupt_dropped += disk.corrupt_dropped;
-  }
+  const ArtifactStoreStats disk = disk_.stats();
+  stats.evictions = disk.evictions;
+  stats.corrupt_dropped = disk.corrupt_dropped;
   return stats;
 }
 

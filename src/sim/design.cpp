@@ -142,24 +142,6 @@ DesignKey DesignConfig::key() const {
   return k;
 }
 
-namespace {
-
-std::uint64_t fnv1a(const DesignKey& key) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-  for (const std::int64_t word : key.v) {
-    auto u = static_cast<std::uint64_t>(word);
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (u >> (8 * byte)) & 0xffULL;
-      h *= 0x100000001b3ULL;  // FNV prime
-    }
-  }
-  return h;
-}
-
-}  // namespace
-
-std::uint64_t DesignConfig::hash() const { return fnv1a(key()); }
-
 std::string DesignConfig::summary(int dims) const {
   std::vector<std::string> tiles;
   std::vector<std::string> cus;

@@ -104,10 +104,6 @@ struct DesignConfig {
   /// Canonical identity (see DesignKey).
   DesignKey key() const;
 
-  /// 64-bit FNV-1a hash of key(); stable across runs and platforms with
-  /// 64-bit std::int64_t.
-  std::uint64_t hash() const;
-
   friend bool operator==(const DesignConfig&, const DesignConfig&) = default;
 };
 

@@ -34,7 +34,7 @@ namespace detail {
 
 void log_line(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
-  // Serialize whole lines: pool workers may log concurrently.
+  // Serialize whole lines: service threads may log concurrently.
   static std::mutex output_mutex;
   std::lock_guard<std::mutex> lock(output_mutex);
   std::cerr << "[stencilcl " << level_name(level) << "] " << message << '\n';

@@ -43,29 +43,17 @@ int thread_index() {
   return index;
 }
 
-std::int64_t Counter::value() const {
-  std::int64_t total = 0;
-  for (const detail::CounterCell& cell : cells_) {
-    total += cell.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 void Gauge::add(double delta) {
   value_.fetch_add(delta, std::memory_order_relaxed);
 }
 
 Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)) {
+    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {
   SCL_CHECK(!bounds_.empty(), "histogram needs at least one bucket bound");
   SCL_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()) &&
                 std::adjacent_find(bounds_.begin(), bounds_.end()) ==
                     bounds_.end(),
             "histogram bucket bounds must be strictly ascending");
-  shards_.reserve(detail::kShards);
-  for (std::size_t s = 0; s < detail::kShards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(bounds_.size() + 1));
-  }
 }
 
 void Histogram::observe(double value) {
@@ -73,23 +61,19 @@ void Histogram::observe(double value) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const auto bucket =
       static_cast<std::size_t>(std::distance(bounds_.begin(), it));
-  Shard& shard =
-      *shards_[static_cast<std::size_t>(thread_index()) % detail::kShards];
-  shard.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(value, std::memory_order_relaxed);
+  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot snap;
   snap.bounds = bounds_;
-  snap.counts.assign(bounds_.size() + 1, 0);
-  for (const auto& shard : shards_) {
-    for (std::size_t b = 0; b < snap.counts.size(); ++b) {
-      snap.counts[b] += shard->counts[b].load(std::memory_order_relaxed);
-    }
-    snap.sum += shard->sum.load(std::memory_order_relaxed);
+  snap.counts.reserve(counts_.size());
+  for (const auto& c : counts_) {
+    snap.counts.push_back(c.load(std::memory_order_relaxed));
+    snap.count += snap.counts.back();
   }
-  for (const std::int64_t c : snap.counts) snap.count += c;
+  snap.sum = sum_.load(std::memory_order_relaxed);
   return snap;
 }
 

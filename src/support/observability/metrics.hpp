@@ -1,11 +1,9 @@
 // Lock-cheap process metrics: counters, gauges and fixed-bucket
 // histograms behind a registry with a Prometheus-style text exposition.
 //
-// Hot-path writes never take a lock: counters and histograms are sharded
-// into cache-line-sized cells indexed by a dense per-thread index
-// (thread_index()), so concurrent increments from pool workers land in
-// different cells and are merged only on scrape. Gauges are a single
-// atomic (sets are rare: queue depths, store sizes).
+// Hot-path writes never take a lock: a counter is one relaxed atomic, a
+// histogram one array of atomic bucket counts plus an atomic sum, and a
+// gauge one atomic (sets are rare: queue depths, store sizes).
 //
 // The registry owns every metric; handles returned by counter()/gauge()/
 // histogram() are stable for the registry's lifetime, so call sites cache
@@ -30,38 +28,26 @@
 
 namespace scl::support::obs {
 
-/// Dense index of the calling thread, assigned on first use. Shards
-/// counter/histogram cells and labels trace events; indices are never
-/// reused within a process.
+/// Dense index of the calling thread, assigned on first use. Labels
+/// trace events; indices are never reused within a process.
 int thread_index();
-
-namespace detail {
-/// Shard count for counters/histograms: enough that a handful of pool
-/// workers rarely collide, small enough that scraping stays trivial.
-inline constexpr std::size_t kShards = 8;
-
-struct alignas(64) CounterCell {
-  std::atomic<std::int64_t> value{0};
-};
-}  // namespace detail
 
 /// Monotonically increasing event count.
 class Counter {
  public:
   void add(std::int64_t delta = 1) {
-    cells_[static_cast<std::size_t>(thread_index()) %
-           detail::kShards]
-        .value.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   void increment() { add(1); }
 
-  /// Merged value across shards.
-  std::int64_t value() const;
+  std::int64_t value() const {
+    return value_.load(std::memory_order_relaxed);
+  }
 
  private:
   friend class MetricsRegistry;
   Counter() = default;
-  std::vector<detail::CounterCell> cells_{detail::kShards};
+  std::atomic<std::int64_t> value_{0};
 };
 
 /// Last-write-wins instantaneous value (queue depth, store bytes, ...).
@@ -112,15 +98,9 @@ class Histogram {
   friend class MetricsRegistry;
   explicit Histogram(std::vector<double> bounds);
 
-  struct alignas(64) Shard {
-    explicit Shard(std::size_t buckets)
-        : counts(buckets) {}
-    std::vector<std::atomic<std::int64_t>> counts;
-    std::atomic<double> sum{0.0};
-  };
-
   std::vector<double> bounds_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::atomic<std::int64_t>> counts_;  ///< bounds_.size() + 1
+  std::atomic<double> sum_{0.0};
 };
 
 /// Default bucket bounds for millisecond-scale latencies (sub-ms parse

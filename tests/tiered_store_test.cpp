@@ -1,16 +1,14 @@
-// Tests for the tiered artifact cache (serve/tiered_store.hpp):
-// promotion/demotion between the memory and disk tiers, write-through
-// semantics, and the consistent-hash shard layout (stability, balance,
-// minimal reshuffle on growth).
+// Tests for the tiered artifact cache (serve/tiered_store.hpp): caching
+// and demotion between the memory and disk tiers, write-through
+// semantics, memory-tier warmup, and a disk layout shared with a plain
+// ArtifactStore.
 #include "serve/tiered_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <map>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "support/error.hpp"
 
@@ -34,17 +32,9 @@ class TieredStoreTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(root_); }
 
-  std::vector<std::string> shard_roots(int count) const {
-    std::vector<std::string> roots;
-    for (int s = 0; s < count; ++s) {
-      roots.push_back((root_ / ("shard-" + std::to_string(s))).string());
-    }
-    return roots;
-  }
-
-  TieredArtifactStore make_store(int shards, std::int64_t memory_bytes) {
+  TieredArtifactStore make_store(std::int64_t memory_bytes) const {
     TieredStoreOptions options;
-    options.shard_roots = shard_roots(shards);
+    options.root = root_.string();
     options.memory_capacity_bytes = memory_bytes;
     return TieredArtifactStore(std::move(options));
   }
@@ -59,12 +49,12 @@ class TieredStoreTest : public ::testing::Test {
   fs::path root_;
 };
 
-TEST_F(TieredStoreTest, RequiresAShardRoot) {
+TEST_F(TieredStoreTest, RequiresARoot) {
   EXPECT_THROW(TieredArtifactStore(TieredStoreOptions{}), Error);
 }
 
 TEST_F(TieredStoreTest, WriteThroughServesFromMemory) {
-  TieredArtifactStore store = make_store(1, 1 << 20);
+  TieredArtifactStore store = make_store(1 << 20);
   store.store(key_of(1), "payload-1");
   bool from_memory = false;
   const auto payload = store.load(key_of(1), &from_memory);
@@ -78,16 +68,16 @@ TEST_F(TieredStoreTest, WriteThroughServesFromMemory) {
 }
 
 TEST_F(TieredStoreTest, ColdStartPromotesDiskHitsIntoMemory) {
-  // A second store over the same roots models a daemon restart: memory
+  // A second store over the same root models a daemon restart: memory
   // is cold, disk is warm.
-  make_store(2, 1 << 20).store(key_of(7), "persisted");
-  TieredArtifactStore reopened = make_store(2, 1 << 20);
+  make_store(1 << 20).store(key_of(7), "persisted");
+  TieredArtifactStore reopened = make_store(1 << 20);
   EXPECT_EQ(reopened.memory_entries(), 0u);
 
   bool from_memory = true;
   ASSERT_EQ(reopened.load(key_of(7), &from_memory), "persisted");
   EXPECT_FALSE(from_memory) << "first load after restart is a disk hit";
-  EXPECT_EQ(reopened.stats().promotions, 1);
+  EXPECT_EQ(reopened.stats().disk_hits, 1);
 
   ASSERT_EQ(reopened.load(key_of(7), &from_memory), "persisted");
   EXPECT_TRUE(from_memory) << "the disk hit was promoted";
@@ -98,16 +88,13 @@ TEST_F(TieredStoreTest, ColdStartPromotesDiskHitsIntoMemory) {
 
 TEST_F(TieredStoreTest, WarmupPreloadsDiskArtifactsAcrossRestart) {
   {
-    TieredArtifactStore store = make_store(2, 1 << 20);
+    TieredArtifactStore store = make_store(1 << 20);
     for (int i = 0; i < 8; ++i) {
       store.store(key_of(i), "warm-payload-" + std::to_string(i));
     }
   }
-  TieredStoreOptions options;
-  options.shard_roots = shard_roots(2);
-  options.memory_capacity_bytes = 1 << 20;
-  options.warm_memory_tier = true;
-  TieredArtifactStore reopened(std::move(options));
+  TieredArtifactStore reopened = make_store(1 << 20);
+  reopened.warm_memory_tier();
 
   EXPECT_EQ(reopened.memory_entries(), 8u);
   EXPECT_EQ(reopened.stats().warmed, 8);
@@ -126,15 +113,12 @@ TEST_F(TieredStoreTest, WarmupPreloadsDiskArtifactsAcrossRestart) {
 TEST_F(TieredStoreTest, WarmupStopsAtTheMemoryBudget) {
   const std::string payload(600, 'x');
   {
-    TieredArtifactStore store = make_store(1, 1 << 20);
+    TieredArtifactStore store = make_store(1 << 20);
     for (int i = 0; i < 10; ++i) store.store(key_of(i), payload);
   }
-  TieredStoreOptions options;
-  options.shard_roots = shard_roots(1);
   // Room for roughly three (key + payload) pairs, nowhere near ten.
-  options.memory_capacity_bytes = 2000;
-  options.warm_memory_tier = true;
-  TieredArtifactStore reopened(std::move(options));
+  TieredArtifactStore reopened = make_store(2000);
+  reopened.warm_memory_tier();
 
   EXPECT_GT(reopened.memory_entries(), 0u);
   EXPECT_LT(reopened.memory_entries(), 10u);
@@ -144,7 +128,7 @@ TEST_F(TieredStoreTest, WarmupStopsAtTheMemoryBudget) {
 }
 
 TEST_F(TieredStoreTest, MissReportsMissAndNothingElse) {
-  TieredArtifactStore store = make_store(2, 1 << 20);
+  TieredArtifactStore store = make_store(1 << 20);
   EXPECT_FALSE(store.load(key_of(42)).has_value());
   EXPECT_FALSE(store.contains(key_of(42)));
   const TieredStoreStats stats = store.stats();
@@ -155,8 +139,8 @@ TEST_F(TieredStoreTest, MissReportsMissAndNothingElse) {
 TEST_F(TieredStoreTest, MemoryPressureDemotesLruVictimsNotData) {
   // Memory fits ~2 of the 40-byte entries (key 32 + payload ~8); the
   // third insert demotes the least recently used. Demotion loses no
-  // data: the victim is still on its disk shard.
-  TieredArtifactStore store = make_store(1, 96);
+  // data: the victim is still on disk.
+  TieredArtifactStore store = make_store(96);
   store.store(key_of(1), "aaaaaaaa");
   store.store(key_of(2), "bbbbbbbb");
   store.store(key_of(3), "cccccccc");
@@ -173,7 +157,7 @@ TEST_F(TieredStoreTest, MemoryPressureDemotesLruVictimsNotData) {
 }
 
 TEST_F(TieredStoreTest, LruRefreshOnLoadProtectsHotKeys) {
-  TieredArtifactStore store = make_store(1, 96);
+  TieredArtifactStore store = make_store(96);
   store.store(key_of(1), "aaaaaaaa");
   store.store(key_of(2), "bbbbbbbb");
   // Touch key 1 so key 2 is the LRU victim when key 3 arrives.
@@ -189,7 +173,7 @@ TEST_F(TieredStoreTest, LruRefreshOnLoadProtectsHotKeys) {
 }
 
 TEST_F(TieredStoreTest, OversizedPayloadBypassesMemoryTier) {
-  TieredArtifactStore store = make_store(1, 64);
+  TieredArtifactStore store = make_store(64);
   store.store(key_of(1), std::string(1024, 'x'));  // larger than the tier
   EXPECT_EQ(store.memory_entries(), 0u);
   bool from_memory = true;
@@ -198,7 +182,7 @@ TEST_F(TieredStoreTest, OversizedPayloadBypassesMemoryTier) {
 }
 
 TEST_F(TieredStoreTest, DisabledMemoryTierStillServes) {
-  TieredArtifactStore store = make_store(2, 0);
+  TieredArtifactStore store = make_store(0);
   store.store(key_of(5), "payload");
   EXPECT_EQ(store.memory_entries(), 0u);
   bool from_memory = true;
@@ -207,61 +191,18 @@ TEST_F(TieredStoreTest, DisabledMemoryTierStillServes) {
   EXPECT_EQ(store.stats().disk_hits, 1);
 }
 
-TEST_F(TieredStoreTest, ShardLayoutIsStableAndExhaustive) {
-  TieredArtifactStore store = make_store(4, 0);
-  for (int i = 0; i < 200; ++i) {
-    const std::size_t shard = store.shard_for(key_of(i));
-    ASSERT_LT(shard, store.shard_count());
-    EXPECT_EQ(store.shard_for(key_of(i)), shard) << "deterministic";
+TEST_F(TieredStoreTest, DiskTierIsAPlainArtifactStore) {
+  // The disk tier keeps ArtifactStore's layout, so a store written by a
+  // plain ArtifactStore is served by a tiered store on the same root.
+  {
+    ArtifactStore plain(ArtifactStoreOptions{root_.string()});
+    plain.store(key_of(9), "plain-payload");
   }
-}
-
-TEST_F(TieredStoreTest, ShardsSplitTheKeyspaceRoughlyEvenly) {
-  TieredArtifactStore store = make_store(4, 0);
-  std::map<std::size_t, int> counts;
-  const int kKeys = 2000;
-  for (int i = 0; i < kKeys; ++i) ++counts[store.shard_for(key_of(i))];
-  ASSERT_EQ(counts.size(), 4u) << "every shard owns part of the keyspace";
-  for (const auto& [shard, count] : counts) {
-    // 64 virtual nodes per shard: each holds 25% +/- a generous margin.
-    EXPECT_GT(count, kKeys / 10) << "shard " << shard << " starved";
-    EXPECT_LT(count, kKeys / 2) << "shard " << shard << " overloaded";
-  }
-}
-
-TEST_F(TieredStoreTest, GrowingTheRingMovesOnlyAFractionOfKeys) {
-  // The consistent-hash property: going 3 -> 4 shards reassigns ~1/4 of
-  // the keyspace, and every key that stays maps to the same root (the
-  // ring hashes root names, not indices).
-  TieredStoreOptions three;
-  three.shard_roots = shard_roots(3);
-  TieredStoreOptions four;
-  four.shard_roots = shard_roots(4);
-  TieredArtifactStore before{std::move(three)};
-  TieredArtifactStore after{std::move(four)};
-
-  const int kKeys = 2000;
-  int moved = 0;
-  for (int i = 0; i < kKeys; ++i) {
-    if (before.shard_for(key_of(i)) != after.shard_for(key_of(i))) ++moved;
-  }
-  EXPECT_GT(moved, 0) << "the new shard must take some keys";
-  EXPECT_LT(moved, kKeys / 2)
-      << "growth reshuffled far more than the ~1/4 consistent hashing "
-         "promises; a modulo layout would move ~3/4";
-}
-
-TEST_F(TieredStoreTest, DataLandsOnTheRingAssignedShard) {
-  TieredArtifactStore store = make_store(3, 0);
-  for (int i = 0; i < 30; ++i) store.store(key_of(i), "payload");
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < store.shard_count(); ++s) {
-    total += store.shard(s).entry_count();
-  }
-  EXPECT_EQ(total, 30u);
-  for (int i = 0; i < 30; ++i) {
-    EXPECT_TRUE(store.shard(store.shard_for(key_of(i))).contains(key_of(i)));
-  }
+  TieredArtifactStore tiered = make_store(1 << 20);
+  EXPECT_EQ(tiered.entry_count(), 1u);
+  bool from_memory = true;
+  ASSERT_EQ(tiered.load(key_of(9), &from_memory), "plain-payload");
+  EXPECT_FALSE(from_memory);
 }
 
 }  // namespace
