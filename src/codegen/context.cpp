@@ -101,4 +101,24 @@ std::string GenContext::region_origin(int d) const {
   return str_cat("r", d);
 }
 
+std::string render_kernel_signature(const GenContext& ctx, int k) {
+  const auto& prog = *ctx.program;
+  std::vector<std::string> args;
+  for (int f = 0; f < prog.field_count(); ++f) {
+    args.push_back(
+        str_cat("__global const float* restrict ", ctx.global_in_name(f)));
+    if (!prog.is_constant_field(f)) {
+      args.push_back(
+          str_cat("__global float* restrict ", ctx.global_out_name(f)));
+    }
+  }
+  for (int d = 0; d < prog.dims(); ++d) {
+    args.push_back(str_cat("const int ", ctx.region_origin(d)));
+  }
+  args.push_back("const int pass_h");
+  return str_cat("__kernel __attribute__((reqd_work_group_size(1, 1, 1)))\n",
+                 "void stencil_k", k, "(", join(args, ",\n               "),
+                 ") {\n");
+}
+
 }  // namespace scl::codegen

@@ -51,4 +51,10 @@ struct GenContext {
   std::string region_origin(int d) const;
 };
 
+/// The `__kernel` header of kernel function `stencil_k<k>`, through the
+/// opening brace: per field a global input (all fields) and output
+/// (mutable fields), the region origin, and the pass depth. Both families
+/// emit it, and the host program binds its arguments in this order.
+std::string render_kernel_signature(const GenContext& ctx, int k);
+
 }  // namespace scl::codegen

@@ -16,9 +16,6 @@ std::string index_macro(const GenContext& ctx, int k) {
   return str_cat("K", k, "_IDX");
 }
 
-namespace {
-
-/// Renders nested for-loops over `bounds` and places `body` inside.
 std::string render_loop_nest(const GenContext& ctx, const LoopBounds& bounds,
                              const std::string& body, int indent) {
   const int dims = ctx.program->dims();
@@ -40,6 +37,8 @@ std::string render_loop_nest(const GenContext& ctx, const LoopBounds& bounds,
          "}\n";
   return out;
 }
+
+namespace {
 
 /// "buf_A[K0_IDX(i0 + 1, i1)]" style access for a read at `off`.
 std::string buffer_access(const GenContext& ctx, int k, int field,

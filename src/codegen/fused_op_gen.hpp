@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "codegen/boundary_gen.hpp"
 #include "codegen/context.hpp"
 #include "codegen/pipe_gen.hpp"
 
@@ -20,5 +21,10 @@ std::string render_fused_iterations(const GenContext& ctx, int k);
 
 /// Index macro name of kernel `k`, e.g. "K0_IDX".
 std::string index_macro(const GenContext& ctx, int k);
+
+/// Renders nested for-loops over `bounds` (one per dimension, `indent`
+/// spaces deep) and places each line of `body` inside.
+std::string render_loop_nest(const GenContext& ctx, const LoopBounds& bounds,
+                             const std::string& body, int indent);
 
 }  // namespace scl::codegen

@@ -85,52 +85,12 @@ std::string render_global_index_macro(const GenContext& ctx) {
   return out;
 }
 
-std::string render_loop_nest(const GenContext& ctx, const LoopBounds& bounds,
-                             const std::string& body, int indent) {
-  const int dims = ctx.program->dims();
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  std::string out;
-  for (int d = 0; d < dims; ++d) {
-    const auto ds = static_cast<std::size_t>(d);
-    out += str_cat(pad, std::string(static_cast<std::size_t>(2 * d), ' '),
-                   "for (int i", d, " = ", bounds.lo[ds], "; i", d, " < ",
-                   bounds.hi[ds], "; ++i", d, ")",
-                   d + 1 == dims ? " {\n" : "\n");
-  }
-  const std::string inner =
-      pad + std::string(static_cast<std::size_t>(2 * dims), ' ');
-  for (const std::string& line : split(body, '\n')) {
-    if (!line.empty()) out += inner + line + "\n";
-  }
-  out += pad + std::string(static_cast<std::size_t>(2 * (dims - 1)), ' ') +
-         "}\n";
-  return out;
-}
-
 std::string render_kernel(const GenContext& ctx, int k) {
   const auto& prog = *ctx.program;
   std::string out;
   out += render_kernel_defines(ctx, k);
 
-  // Signature: per-field global in (all fields) / out (mutable fields),
-  // region origin, and the fused depth of this pass.
-  std::vector<std::string> args;
-  for (int f = 0; f < prog.field_count(); ++f) {
-    args.push_back(
-        str_cat("__global const float* restrict ", ctx.global_in_name(f)));
-    if (!prog.is_constant_field(f)) {
-      args.push_back(
-          str_cat("__global float* restrict ", ctx.global_out_name(f)));
-    }
-  }
-  for (int d = 0; d < prog.dims(); ++d) {
-    args.push_back(str_cat("const int ", ctx.region_origin(d)));
-  }
-  args.push_back("const int pass_h");
-
-  out += str_cat("__kernel __attribute__((reqd_work_group_size(1, 1, 1)))\n",
-                 "void stencil_k", k, "(", join(args, ",\n               "),
-                 ") {\n");
+  out += render_kernel_signature(ctx, k);
 
   // Local buffers (plus shadow copies for double-buffered stages).
   std::string size_expr;
@@ -213,29 +173,67 @@ std::string kernel_fn_name(const GenContext& ctx, int rep, int k) {
                  rep * static_cast<int>(ctx.config.total_kernels()) + k);
 }
 
-/// Host program for R > 1: per-replica command queues, the region sweep's
-/// rows along one dimension strip-partitioned into R contiguous blocks,
-/// swept wave by wave (one region per replica per wave) so the replicas
-/// run concurrently while every region still ends with a queue barrier.
-std::string render_host_replicated(const GenContext& ctx,
-                                   const std::vector<PipeDecl>& pipes) {
+/// Binds kernel object `k<idx>`'s arguments in render_kernel_signature's
+/// order (ping-pong source and destination per mutable field, the region
+/// origin, the pass depth) and enqueues it on `queue`.
+std::string render_enqueue(const GenContext& ctx, int idx,
+                           const std::string& queue,
+                           const std::string& indent) {
+  const auto& prog = *ctx.program;
+  std::string out = str_cat(indent, "{\n", indent, "  int arg = 0;\n");
+  for (int f = 0; f < prog.field_count(); ++f) {
+    const std::string n = prog.field(f).name;
+    if (prog.is_constant_field(f)) {
+      out += str_cat(indent, "  CHECK(clSetKernelArg(k", idx,
+                     ", arg++, sizeof(cl_mem), &", n, "_a));\n");
+    } else {
+      out += str_cat(indent, "  cl_mem ", n, "_src = pass_parity == 0 ? ", n,
+                     "_a : ", n, "_b;\n");
+      out += str_cat(indent, "  cl_mem ", n, "_dst = pass_parity == 0 ? ", n,
+                     "_b : ", n, "_a;\n");
+      out += str_cat(indent, "  CHECK(clSetKernelArg(k", idx,
+                     ", arg++, sizeof(cl_mem), &", n, "_src));\n");
+      out += str_cat(indent, "  CHECK(clSetKernelArg(k", idx,
+                     ", arg++, sizeof(cl_mem), &", n, "_dst));\n");
+    }
+  }
+  for (int d = 0; d < prog.dims(); ++d) {
+    out += str_cat(indent, "  CHECK(clSetKernelArg(k", idx,
+                   ", arg++, sizeof(int), &r", d, "));\n");
+  }
+  out += str_cat(indent, "  CHECK(clSetKernelArg(k", idx,
+                 ", arg++, sizeof(int), &pass_h));\n");
+  out += str_cat(indent, "  CHECK(clEnqueueTask(", queue, ", k", idx,
+                 ", 0, nullptr, nullptr));\n");
+  out += str_cat(indent, "}\n");
+  return out;
+}
+
+/// Host program: ping-ponged global buffers and the region sweep, one
+/// queue barrier per region. With R > 1 replicas, each replica gets its
+/// own command queue, and the region rows along one dimension are
+/// strip-partitioned into R contiguous blocks swept wave by wave (one
+/// region per replica per wave), so the replicas run concurrently. R = 1
+/// is the one-replica case: one queue and a plain sweep of every
+/// dimension.
+std::string render_host(const GenContext& ctx,
+                        const std::vector<PipeDecl>& pipes) {
   const auto& prog = *ctx.program;
   const auto& cfg = ctx.config;
   const int replicas = cfg.replication;
-  const bool temporal = cfg.family == arch::DesignFamily::kTemporalShift;
-  const int per_replica =
-      temporal ? 1 : static_cast<int>(cfg.total_kernels());
-  const int rd = replication_dim(ctx);
-  const std::int64_t rows =
-      (prog.grid_box().extent(rd) + cfg.region_extent(rd) - 1) /
-      cfg.region_extent(rd);
-  const std::int64_t waves = (rows + replicas - 1) / replicas;
+  const bool replicated = replicas > 1;
+  const int per_replica = cfg.family == arch::DesignFamily::kTemporalShift
+                              ? 1
+                              : static_cast<int>(cfg.total_kernels());
+  // The strip-partitioned dimension; none without replicas.
+  const int rd = replicated ? replication_dim(ctx) : -1;
 
   std::string out;
   out += str_cat(
       "// Host program generated by stencilcl for ", prog.name(), "\n",
-      "// Design: ", cfg.summary(prog.dims()), " (", pipes.size(),
-      " pipes, ", replicas, " replicas)\n",
+      "// Design: ", cfg.summary(prog.dims()), " (", pipes.size(), " pipes",
+      replicated ? str_cat(", ", replicas, " replicas") : std::string(),
+      ")\n",
       "#include <CL/cl.h>\n#include <cstdio>\n#include <cstdlib>\n"
       "#include <vector>\n\n"
       "#define CHECK(err)                                         \\\n"
@@ -256,10 +254,16 @@ std::string render_host_replicated(const GenContext& ctx,
     out += str_cat("static const int kGridExtent", d, " = ",
                    prog.grid_box().extent(d), ";\n");
   }
-  out += str_cat("static const int kReplicas = ", replicas,
-                 ";  // spatial PEs on disjoint HBM bank groups\n");
-  out += str_cat("static const int kStripWaves = ", waves,
-                 ";  // region rows along dim ", rd, " per replica\n");
+  if (replicated) {
+    const std::int64_t rows =
+        (prog.grid_box().extent(rd) + cfg.region_extent(rd) - 1) /
+        cfg.region_extent(rd);
+    out += str_cat("static const int kReplicas = ", replicas,
+                   ";  // spatial PEs on disjoint HBM bank groups\n");
+    out += str_cat("static const int kStripWaves = ",
+                   (rows + replicas - 1) / replicas,
+                   ";  // region rows along dim ", rd, " per replica\n");
+  }
 
   out += R"(
 int main() {
@@ -272,7 +276,8 @@ int main() {
   cl_context context =
       clCreateContext(nullptr, 1, &device, nullptr, nullptr, &err);
   CHECK(err);
-  // One out-of-order queue per replica: replicas sweep their strips
+)";
+  out += replicated ? R"(  // One out-of-order queue per replica: replicas sweep their strips
   // concurrently, each queue still orders its own region barrier.
   cl_command_queue queues[kReplicas];
   for (int q = 0; q < kReplicas; ++q) {
@@ -280,165 +285,12 @@ int main() {
         context, device, CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE, &err);
     CHECK(err);
   }
-
-  // Load the xclbin produced by the SDAccel compile of the generated
-  // kernels (xocc -t hw stencil_kernels.cl).
-  // ... clCreateProgramWithBinary elided: platform specific ...
-  cl_program program = nullptr;  // created from the xclbin
-)";
-
-  for (int f = 0; f < prog.field_count(); ++f) {
-    const std::string n = prog.field(f).name;
-    out += str_cat("  std::vector<float> host_", n, "(kGridCells);\n");
-    out += str_cat("  cl_mem ", n,
-                   "_a = clCreateBuffer(context, CL_MEM_READ_WRITE,\n"
-                   "      kGridCells * sizeof(float), nullptr, &err);\n"
-                   "  CHECK(err);\n");
-    if (!prog.is_constant_field(f)) {
-      out += str_cat("  cl_mem ", n,
-                     "_b = clCreateBuffer(context, CL_MEM_READ_WRITE,\n"
-                     "      kGridCells * sizeof(float), nullptr, &err);\n"
-                     "  CHECK(err);\n");
-    }
-  }
-
-  out += "\n  // one kernel object per synthesized compute unit\n";
-  for (int rep = 0; rep < replicas; ++rep) {
-    for (int k = 0; k < per_replica; ++k) {
-      const int idx = rep * per_replica + k;
-      out += str_cat("  cl_kernel k", idx, " = clCreateKernel(program, \"",
-                     kernel_fn_name(ctx, rep, k), "\", &err);\n  CHECK(err);\n");
-    }
-  }
-
-  out += R"(
-  int pass_parity = 0;
-  for (int t = 0; t < kIterations; t += kPassH) {
-    const int pass_h = t + kPassH <= kIterations ? kPassH : kIterations - t;
-)";
-  // Wave loop along the replicated dimension, plain sweeps elsewhere.
-  std::string indent = "    ";
-  out += str_cat(indent, "for (int w = 0; w < kStripWaves; ++w) {\n");
-  indent += "  ";
-  for (int d = 0; d < prog.dims(); ++d) {
-    if (d == rd) continue;
-    out += str_cat(indent, "for (int r", d, " = 0; r", d, " < kGridExtent", d,
-                   "; r", d, " += kRegionExtent", d, ") {\n");
-    indent += "  ";
-  }
-  out += str_cat(indent, "// one region per replica per wave: replica p "
-                         "owns wave rows p*kStripWaves .. "
-                         "p*kStripWaves + kStripWaves - 1\n");
-  for (int rep = 0; rep < replicas; ++rep) {
-    out += str_cat(indent, "{\n");
-    out += str_cat(indent, "  const int r", rd, " = (", rep,
-                   " * kStripWaves + w) * kRegionExtent", rd, ";\n");
-    out += str_cat(indent, "  if (r", rd, " < kGridExtent", rd, ") {\n");
-    const std::string inner = indent + "    ";
-    for (int k = 0; k < per_replica; ++k) {
-      const int idx = rep * per_replica + k;
-      out += str_cat(inner, "{\n");
-      out += str_cat(inner, "  int arg = 0;\n");
-      for (int f = 0; f < prog.field_count(); ++f) {
-        const std::string n = prog.field(f).name;
-        if (prog.is_constant_field(f)) {
-          out += str_cat(inner, "  CHECK(clSetKernelArg(k", idx,
-                         ", arg++, sizeof(cl_mem), &", n, "_a));\n");
-        } else {
-          out += str_cat(inner, "  cl_mem ", n,
-                         "_src = pass_parity == 0 ? ", n, "_a : ", n, "_b;\n");
-          out += str_cat(inner, "  cl_mem ", n,
-                         "_dst = pass_parity == 0 ? ", n, "_b : ", n, "_a;\n");
-          out += str_cat(inner, "  CHECK(clSetKernelArg(k", idx,
-                         ", arg++, sizeof(cl_mem), &", n, "_src));\n");
-          out += str_cat(inner, "  CHECK(clSetKernelArg(k", idx,
-                         ", arg++, sizeof(cl_mem), &", n, "_dst));\n");
-        }
-      }
-      for (int d = 0; d < prog.dims(); ++d) {
-        out += str_cat(inner, "  CHECK(clSetKernelArg(k", idx,
-                       ", arg++, sizeof(int), &r", d, "));\n");
-      }
-      out += str_cat(inner, "  CHECK(clSetKernelArg(k", idx,
-                     ", arg++, sizeof(int), &pass_h));\n");
-      out += str_cat(inner, "  CHECK(clEnqueueTask(queues[", rep, "], k", idx,
-                     ", 0, nullptr, nullptr));\n");
-      out += str_cat(inner, "}\n");
-    }
-    out += str_cat(indent, "  }\n");
-    out += str_cat(indent, "}\n");
-  }
-  out += str_cat(indent,
-                 "for (int q = 0; q < kReplicas; ++q) {\n", indent,
-                 "  CHECK(clFinish(queues[q]));  // per-replica region "
-                 "barrier\n", indent, "}\n");
-  for (int d = prog.dims() - 1; d >= 0; --d) {
-    if (d == rd) continue;
-    indent = indent.substr(0, indent.size() - 2);
-    out += indent + "}\n";
-  }
-  indent = indent.substr(0, indent.size() - 2);
-  out += indent + "}\n";
-  out += R"(    pass_parity ^= 1;
-  }
-
-  // read back the final state (elided: clEnqueueReadBuffer per field)
-  for (int q = 0; q < kReplicas; ++q) {
-    clReleaseCommandQueue(queues[q]);
-  }
-  clReleaseContext(context);
-  return 0;
-}
-)";
-  return out;
-}
-
-std::string render_host(const GenContext& ctx,
-                        const std::vector<PipeDecl>& pipes) {
-  if (ctx.config.replication > 1) return render_host_replicated(ctx, pipes);
-  const auto& prog = *ctx.program;
-  const auto& cfg = ctx.config;
-  std::string out;
-  out += str_cat(
-      "// Host program generated by stencilcl for ", prog.name(), "\n",
-      "// Design: ", cfg.summary(prog.dims()), " (", pipes.size(),
-      " pipes)\n",
-      "#include <CL/cl.h>\n#include <cstdio>\n#include <cstdlib>\n"
-      "#include <vector>\n\n"
-      "#define CHECK(err)                                         \\\n"
-      "  if ((err) != CL_SUCCESS) {                               \\\n"
-      "    std::fprintf(stderr, \"OpenCL error %d at line %d\\n\", \\\n"
-      "                 (err), __LINE__);                         \\\n"
-      "    std::exit(1);                                          \\\n"
-      "  }\n\n");
-
-  std::int64_t grid_cells = 1;
-  for (int d = 0; d < prog.dims(); ++d) grid_cells *= prog.grid_box().extent(d);
-  out += str_cat("static const size_t kGridCells = ", grid_cells, ";\n");
-  out += str_cat("static const int kPassH = ", cfg.fused_iterations, ";\n");
-  out += str_cat("static const int kIterations = ", prog.iterations(), ";\n");
-  for (int d = 0; d < prog.dims(); ++d) {
-    out += str_cat("static const int kRegionExtent", d, " = ",
-                   cfg.region_extent(d), ";\n");
-    out += str_cat("static const int kGridExtent", d, " = ",
-                   prog.grid_box().extent(d), ";\n");
-  }
-
-  out += R"(
-int main() {
-  cl_int err = CL_SUCCESS;
-  cl_platform_id platform;
-  CHECK(clGetPlatformIDs(1, &platform, nullptr));
-  cl_device_id device;
-  CHECK(clGetDeviceIDs(platform, CL_DEVICE_TYPE_ACCELERATOR, 1, &device,
-                       nullptr));
-  cl_context context =
-      clCreateContext(nullptr, 1, &device, nullptr, nullptr, &err);
-  CHECK(err);
-  cl_command_queue queue = clCreateCommandQueue(
+)"
+                    : R"(  cl_command_queue queue = clCreateCommandQueue(
       context, device, CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE, &err);
   CHECK(err);
-
+)";
+  out += R"(
   // Load the xclbin produced by the SDAccel compile of the generated
   // kernels (xocc -t hw stencil_kernels.cl).
   // ... clCreateProgramWithBinary elided: platform specific ...
@@ -463,68 +315,78 @@ int main() {
   }
 
   out += "\n  // one kernel object per synthesized compute unit\n";
-  for (int k = 0; k < ctx.kernel_count(); ++k) {
-    out += str_cat("  cl_kernel k", k, " = clCreateKernel(program, \"stencil_k",
-                   k, "\", &err);\n  CHECK(err);\n");
+  for (int rep = 0; rep < replicas; ++rep) {
+    for (int k = 0; k < per_replica; ++k) {
+      out += str_cat("  cl_kernel k", rep * per_replica + k,
+                     " = clCreateKernel(program, \"",
+                     kernel_fn_name(ctx, rep, k), "\", &err);\n  CHECK(err);\n");
+    }
   }
 
-  // Region sweep.
+  // Region sweep: the wave loop along the replicated dimension, plain
+  // sweeps elsewhere.
   out += R"(
   int pass_parity = 0;
   for (int t = 0; t < kIterations; t += kPassH) {
     const int pass_h = t + kPassH <= kIterations ? kPassH : kIterations - t;
 )";
   std::string indent = "    ";
+  if (replicated) {
+    out += str_cat(indent, "for (int w = 0; w < kStripWaves; ++w) {\n");
+    indent += "  ";
+  }
   for (int d = 0; d < prog.dims(); ++d) {
+    if (d == rd) continue;
     out += str_cat(indent, "for (int r", d, " = 0; r", d, " < kGridExtent", d,
                    "; r", d, " += kRegionExtent", d, ") {\n");
     indent += "  ";
   }
-  out += str_cat(indent,
-                 "// bind ping-pong buffers and enqueue the region's ",
-                 ctx.kernel_count(), " kernels\n");
-  for (int k = 0; k < ctx.kernel_count(); ++k) {
-    out += str_cat(indent, "{\n");
-    out += str_cat(indent, "  int arg = 0;\n");
-    for (int f = 0; f < prog.field_count(); ++f) {
-      const std::string n = prog.field(f).name;
-      if (prog.is_constant_field(f)) {
-        out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
-                       ", arg++, sizeof(cl_mem), &", n, "_a));\n");
-      } else {
-        out += str_cat(indent, "  cl_mem ", n,
-                       "_src = pass_parity == 0 ? ", n, "_a : ", n, "_b;\n");
-        out += str_cat(indent, "  cl_mem ", n,
-                       "_dst = pass_parity == 0 ? ", n, "_b : ", n, "_a;\n");
-        out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
-                       ", arg++, sizeof(cl_mem), &", n, "_src));\n");
-        out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
-                       ", arg++, sizeof(cl_mem), &", n, "_dst));\n");
+  if (replicated) {
+    out += str_cat(indent, "// one region per replica per wave: replica p "
+                           "owns wave rows p*kStripWaves .. "
+                           "p*kStripWaves + kStripWaves - 1\n");
+    for (int rep = 0; rep < replicas; ++rep) {
+      out += str_cat(indent, "{\n");
+      out += str_cat(indent, "  const int r", rd, " = (", rep,
+                     " * kStripWaves + w) * kRegionExtent", rd, ";\n");
+      out += str_cat(indent, "  if (r", rd, " < kGridExtent", rd, ") {\n");
+      for (int k = 0; k < per_replica; ++k) {
+        out += render_enqueue(ctx, rep * per_replica + k,
+                              str_cat("queues[", rep, "]"), indent + "    ");
       }
+      out += str_cat(indent, "  }\n");
+      out += str_cat(indent, "}\n");
     }
-    for (int d = 0; d < prog.dims(); ++d) {
-      out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
-                     ", arg++, sizeof(int), &r", d, "));\n");
+    out += str_cat(indent,
+                   "for (int q = 0; q < kReplicas; ++q) {\n", indent,
+                   "  CHECK(clFinish(queues[q]));  // per-replica region "
+                   "barrier\n", indent, "}\n");
+  } else {
+    out += str_cat(indent,
+                   "// bind ping-pong buffers and enqueue the region's ",
+                   per_replica, " kernels\n");
+    for (int k = 0; k < per_replica; ++k) {
+      out += render_enqueue(ctx, k, "queue", indent);
     }
-    out += str_cat(indent, "  CHECK(clSetKernelArg(k", k,
-                   ", arg++, sizeof(int), &pass_h));\n");
-    out += str_cat(indent, "  CHECK(clEnqueueTask(queue, k", k,
-                   ", 0, nullptr, nullptr));\n");
-    out += str_cat(indent, "}\n");
+    out += str_cat(indent,
+                   "CHECK(clFinish(queue));  // inter-kernel synchronization "
+                   "barrier\n");
   }
-  out += str_cat(indent,
-                 "CHECK(clFinish(queue));  // inter-kernel synchronization "
-                 "barrier\n");
-  for (int d = prog.dims() - 1; d >= 0; --d) {
-    indent = indent.substr(0, indent.size() - 2);
+  while (indent.size() > 4) {
+    indent.resize(indent.size() - 2);
     out += indent + "}\n";
   }
   out += R"(    pass_parity ^= 1;
   }
 
   // read back the final state (elided: clEnqueueReadBuffer per field)
-  clReleaseCommandQueue(queue);
-  clReleaseContext(context);
+)";
+  out += replicated ? R"(  for (int q = 0; q < kReplicas; ++q) {
+    clReleaseCommandQueue(queues[q]);
+  }
+)"
+                    : "  clReleaseCommandQueue(queue);\n";
+  out += R"(  clReleaseContext(context);
   return 0;
 }
 )";

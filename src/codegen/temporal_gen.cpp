@@ -137,25 +137,10 @@ std::string render_temporal_kernel(const GenContext& ctx) {
       "\n// padded walk: ", lay.cells, " cells + ", lay.max_store_delay,
       " drain ticks, ", lay.sr_elements, " shift-register elements\n");
 
-  // Signature: identical to the pipe-tiling family's stencil_k0 so the
-  // generated host program drives both families unchanged. pass_h is
-  // unused — the cascade's fused depth T is baked into the delays.
-  std::vector<std::string> args;
-  for (int f = 0; f < prog.field_count(); ++f) {
-    args.push_back(
-        str_cat("__global const float* restrict ", ctx.global_in_name(f)));
-    if (!prog.is_constant_field(f)) {
-      args.push_back(
-          str_cat("__global float* restrict ", ctx.global_out_name(f)));
-    }
-  }
-  for (int d = 0; d < dims; ++d) {
-    args.push_back(str_cat("const int ", ctx.region_origin(d)));
-  }
-  args.push_back("const int pass_h");
-  out += str_cat("__kernel __attribute__((reqd_work_group_size(1, 1, 1)))\n",
-                 "void stencil_k0(", join(args, ",\n               "),
-                 ") {\n");
+  // The pipe-tiling family's signature, so one host program drives both
+  // families. pass_h is unused: the cascade's fused depth T is baked into
+  // the delays.
+  out += render_kernel_signature(ctx, 0);
 
   // One shift register per materialized (field, time-state) stream.
   for (const TemporalReg& reg : lay.regs) {
