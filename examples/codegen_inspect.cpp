@@ -3,14 +3,14 @@
 //   $ codegen_inspect [benchmark-name]
 //
 // Generates the heterogeneous OpenCL kernels for a small instance of the
-// chosen benchmark (2x2 kernels so the output stays readable), validates
-// the source structurally, and prints it with a short summary. Useful for
-// seeing exactly what the three generators (boundary, pipes, fused
-// operation) emit.
+// chosen benchmark (2x2 kernels so the output stays readable), verifies
+// the sources (delimiters, pipe pairing, and pass 4's kernel-IR checks),
+// and prints the kernel with a short summary. Useful for seeing exactly
+// what the three generators (boundary, pipes, fused operation) emit.
 #include <iostream>
 
 #include "codegen/opencl_emitter.hpp"
-#include "codegen/validator.hpp"
+#include "core/verify.hpp"
 #include "stencil/kernels.hpp"
 
 int main(int argc, char** argv) {
@@ -34,16 +34,19 @@ int main(int argc, char** argv) {
     const scl::codegen::GeneratedCode code = scl::codegen::generate_opencl(
         program, config, scl::fpga::virtex7_690t());
 
-    const auto issues =
-        scl::codegen::validate_kernel_source(code.kernel_source);
+    scl::support::DiagnosticEngine diags;
+    scl::core::verify_generated_sources(code, &diags);
+    scl::core::verify_generated_ir(program, config, code, &diags);
+    const auto& issues = diags.diagnostics();
     std::cout << code.kernel_source << "\n";
     std::cout << "// ---- summary: " << code.kernel_count << " kernels, "
               << code.pipe_count << " pipes, validation "
-              << (issues.empty() ? "clean" : "FAILED") << " ----\n";
+              << (diags.has_errors() ? "FAILED" : "clean") << " ----\n";
     for (const auto& issue : issues) {
-      std::cout << "//   issue: " << issue.message << "\n";
+      std::cout << "//   " << scl::support::to_string(issue.severity) << ": "
+                << issue.code << " " << issue.message << "\n";
     }
-    return issues.empty() ? 0 : 1;
+    return diags.has_errors() ? 1 : 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -1,6 +1,7 @@
 #include "analysis/ir/dataflow.hpp"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 #include <utility>
@@ -614,6 +615,25 @@ class ModuleAnalyzer {
   std::set<std::string> emitted_;
 };
 
+/// The kernels that write and read one pipe, by name.
+struct PipeEnds {
+  std::set<std::string> writers;
+  std::set<std::string> readers;
+};
+
+void collect_pipe_ends(const StmtList& stmts, const std::string& kernel,
+                       std::map<std::string, PipeEnds>* ends) {
+  for (const Stmt& stmt : stmts) {
+    if (stmt.kind == Stmt::Kind::kPipeWrite) {
+      (*ends)[stmt.pipe].writers.insert(kernel);
+    } else if (stmt.kind == Stmt::Kind::kPipeRead) {
+      (*ends)[stmt.pipe].readers.insert(kernel);
+    } else if (stmt.kind == Stmt::Kind::kLoop) {
+      collect_pipe_ends(stmt.body, kernel, ends);
+    }
+  }
+}
+
 }  // namespace
 
 IrContext make_ir_context(const scl::stencil::StencilProgram& program,
@@ -629,6 +649,62 @@ IrContext make_ir_context(const scl::stencil::StencilProgram& program,
   ctx.fused_iterations = std::max<std::int64_t>(config.fused_iterations, 1);
   ctx.iterations = std::max<std::int64_t>(program.iterations(), 1);
   return ctx;
+}
+
+void check_pipe_pairing(const Module& module,
+                        support::DiagnosticEngine* diags) {
+  std::map<std::string, PipeEnds> ends;
+  for (const Kernel& kernel : module.kernels) {
+    collect_pipe_ends(kernel.body, kernel.name, &ends);
+  }
+  std::set<std::string> declared;
+  for (const PipeChannel& pipe : module.pipes) declared.insert(pipe.name);
+
+  auto report = [&](const char* code, const std::string& pipe,
+                    const std::string& message) {
+    diags->error(code, message).location = {"pipe", pipe, -1};
+  };
+  auto names = [](const std::set<std::string>& kernels) {
+    return join(std::vector<std::string>(kernels.begin(), kernels.end()),
+                ", ");
+  };
+  const PipeEnds unused;
+  for (const std::string& p : declared) {
+    const auto it = ends.find(p);
+    const PipeEnds& use = it != ends.end() ? it->second : unused;
+    if (use.writers.empty()) {
+      report("SCL010", p, str_cat("pipe '", p, "' declared but never written"));
+    }
+    if (use.readers.empty()) {
+      report("SCL011", p, str_cat("pipe '", p, "' declared but never read"));
+    }
+    if (use.writers.size() > 1) {
+      report("SCL014", p,
+             str_cat("pipe '", p, "' written by multiple kernels: ",
+                     names(use.writers)));
+    }
+    if (use.readers.size() > 1) {
+      report("SCL015", p,
+             str_cat("pipe '", p, "' read by multiple kernels: ",
+                     names(use.readers)));
+    }
+    for (const std::string& k : use.writers) {
+      if (use.readers.count(k) != 0) {
+        report("SCL016", p,
+               str_cat("pipe '", p, "' read and written by the same kernel '",
+                       k, "'"));
+      }
+    }
+  }
+  for (const auto& [p, use] : ends) {
+    if (declared.count(p) != 0) continue;
+    if (!use.writers.empty()) {
+      report("SCL012", p, str_cat("pipe '", p, "' written but not declared"));
+    }
+    if (!use.readers.empty()) {
+      report("SCL013", p, str_cat("pipe '", p, "' read but not declared"));
+    }
+  }
 }
 
 void analyze_module(const Module& module, const IrContext& ctx,

@@ -5,6 +5,13 @@
 // were *actually* emitted, after lowering the generated OpenCL text
 // (analysis/ir/lower). Checks:
 //
+//   SCL010  error    pipe declared but never written
+//   SCL011  error    pipe declared but never read
+//   SCL012  error    pipe written but not declared
+//   SCL013  error    pipe read but not declared
+//   SCL014  error    pipe written by more than one kernel
+//   SCL015  error    pipe read by more than one kernel
+//   SCL016  error    pipe read and written by the same kernel
 //   SCL401  error    local-buffer index can leave [0, size)
 //   SCL402  error    global array index can leave [0, grid cells)
 //   SCL403  error    load from a local buffer no store can have written
@@ -80,6 +87,13 @@ struct DataflowStats {
   std::int64_t walks = 0;         ///< kernel-body walks (index, token count)
   std::int64_t expressions = 0;   ///< expression evaluations
 };
+
+/// Point-to-point pipe pairing (SCL010-016) over a lowered module: every
+/// declared pipe is written by exactly one kernel and read by exactly one
+/// other kernel, and every pipe a kernel uses is declared. Pipes are
+/// reported in name order, each with the location {"pipe", name}.
+void check_pipe_pairing(const Module& module,
+                        support::DiagnosticEngine* diags);
 
 /// Runs every SCL4xx check over a lowered module; adds its work to
 /// `stats` when given.

@@ -1,18 +1,12 @@
 // Structural validator for generated sources.
 //
-// Not a compiler: a fast token-level checker that catches the classes of
-// generator bugs that matter — unbalanced delimiters, unexpanded formula
-// placeholders, pipes that are declared but never used (or used but never
-// declared), and broken point-to-point pipe pairing (a pipe must be
-// written by exactly one kernel and read by exactly one *other* kernel).
-//
-// Problems are reported as support::Diagnostic entries with SCL0xx codes:
+// Not a compiler: a fast text check for the generator bugs that break the
+// text itself, reported as support::Diagnostic entries:
 //
 //   SCL001  unbalanced delimiters          SCL002  unexpanded placeholder
-//   SCL010  pipe declared, never written   SCL011  pipe declared, never read
-//   SCL012  pipe written, not declared     SCL013  pipe read, not declared
-//   SCL014  pipe written by >1 kernel      SCL015  pipe read by >1 kernel
-//   SCL016  pipe read and written by the same kernel
+//
+// Pipe pairing (SCL010-016) is read from the lowered kernel IR instead
+// (analysis::ir::check_pipe_pairing, run by core::verify_generated_ir).
 #pragma once
 
 #include <string>
@@ -22,8 +16,8 @@
 
 namespace scl::codegen {
 
-/// Checks a generated kernel translation unit. Returns the list of
-/// problems found (empty = clean).
+/// Checks a generated kernel translation unit (delimiters and
+/// placeholders). Returns the list of problems found (empty = clean).
 std::vector<support::Diagnostic> validate_kernel_source(
     const std::string& src);
 

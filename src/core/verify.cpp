@@ -95,6 +95,7 @@ IrVerifyStats verify_generated_ir(const scl::stencil::StencilProgram& program,
     stats.pipes_checked = static_cast<std::int64_t>(module.pipes.size());
     stats.unmodeled_constructs =
         static_cast<std::int64_t>(module.unmodeled.size());
+    analysis::ir::check_pipe_pairing(module, &local);
     const analysis::ir::IrContext ctx =
         analysis::ir::make_ir_context(program, config);
     analysis::ir::analyze_module(module, ctx, &local);

@@ -2,9 +2,10 @@
 //
 // The analysis library sits below core/, so it cannot call the resource
 // estimator itself; this wrapper computes what the model charged a design
-// and feeds it to the analyzer's resource cross-check, then (optionally)
-// runs the generated-source validator over emitted code and merges its
-// SCL0xx diagnostics into the same engine.
+// and feeds it to the analyzer's resource cross-check. It also runs the
+// generated-source validator (SCL001/002) and pass 4 (pipe pairing
+// SCL010-016, then SCL4xx) over emitted code, merging their diagnostics
+// into the caller's engine.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +47,8 @@ support::DiagnosticEngine verify_design(
     const sim::DesignConfig& config, const fpga::DeviceSpec& device,
     const DesignResources& resources);
 
-/// Appends the generated-source validator's SCL0xx diagnostics for
-/// `code` to `diags`.
+/// Appends the generated-source validator's SCL001/002 diagnostics for
+/// the kernel and host sources of `code` to `diags`.
 void verify_generated_sources(const codegen::GeneratedCode& code,
                               support::DiagnosticEngine* diags);
 
@@ -62,9 +63,11 @@ struct IrVerifyStats {
   std::int64_t warnings = 0;
 };
 
-/// Pass 4: lowers the emitted kernel source to the analysis IR and runs
-/// the SCL4xx abstract-interpretation checks (analysis/ir/dataflow) over
-/// it; diagnostics are appended to `diags`.
+/// Pass 4: lowers the emitted kernel source to the analysis IR, checks
+/// its pipe pairing (SCL010-016), then runs the SCL4xx
+/// abstract-interpretation checks (analysis/ir/dataflow) over it;
+/// diagnostics are appended to `diags`. When lowering fails, the SCL409
+/// error is the only diagnostic.
 IrVerifyStats verify_generated_ir(const scl::stencil::StencilProgram& program,
                                   const sim::DesignConfig& config,
                                   const codegen::GeneratedCode& code,

@@ -23,19 +23,19 @@ const std::vector<CatalogEntry>& diagnostic_catalog() {
        "generated source has unbalanced delimiters"},
       {"SCL002", Severity::kError, "source-structure",
        "generated source contains an unexpanded template placeholder"},
-      {"SCL010", Severity::kError, "source-structure",
+      {"SCL010", Severity::kError, "kernel-ir",
        "pipe declared but never written"},
-      {"SCL011", Severity::kError, "source-structure",
+      {"SCL011", Severity::kError, "kernel-ir",
        "pipe declared but never read"},
-      {"SCL012", Severity::kError, "source-structure",
+      {"SCL012", Severity::kError, "kernel-ir",
        "pipe written but not declared"},
-      {"SCL013", Severity::kError, "source-structure",
+      {"SCL013", Severity::kError, "kernel-ir",
        "pipe read but not declared"},
-      {"SCL014", Severity::kError, "source-structure",
+      {"SCL014", Severity::kError, "kernel-ir",
        "pipe written by multiple kernels"},
-      {"SCL015", Severity::kError, "source-structure",
+      {"SCL015", Severity::kError, "kernel-ir",
        "pipe read by multiple kernels"},
-      {"SCL016", Severity::kError, "source-structure",
+      {"SCL016", Severity::kError, "kernel-ir",
        "pipe read and written by the same kernel"},
       {"SCL101", Severity::kError, "pipe-graph",
        "halo face is never delivered: no pipe from the neighbor tile"},

@@ -6,7 +6,9 @@
 // design (kernel, pipe, stage, source line, ...), and a chain of
 // explanatory notes. Codes are namespaced by topic:
 //
-//   SCL0xx — generated-source structure (delimiters, placeholders, tokens)
+//   SCL0xx — generated-source structure: delimiters and placeholders
+//            (text validator), pipe pairing (read from the lowered
+//            kernel IR)
 //   SCL1xx — pipe graph (orphan channels, undersized FIFOs, deadlock,
 //            missing halo delivery)
 //   SCL2xx — halo & bounds interval analysis (out-of-grid bursts,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "analysis/ir/dataflow.hpp"
+#include "analysis/ir/lower.hpp"
 #include "codegen/boundary_gen.hpp"
 #include "codegen/context.hpp"
 #include "codegen/opencl_emitter.hpp"
@@ -257,15 +259,26 @@ TEST(ValidatorTest, DetectsLeftoverPlaceholder) {
   EXPECT_NE(issues[0].message.find("placeholder"), std::string::npos);
 }
 
+// Pipe pairing (SCL010-016) is read from pass 4's lowered module, not
+// from the text: only pipe calls inside `__kernel` functions count.
+
+std::vector<scl::support::Diagnostic> pairing_issues(const std::string& src) {
+  scl::support::DiagnosticEngine diags;
+  scl::analysis::ir::check_pipe_pairing(
+      scl::analysis::ir::lower_kernel_source(src), &diags);
+  return diags.diagnostics();
+}
+
 TEST(ValidatorTest, DetectsOrphanPipes) {
   const std::string src =
       "pipe float p_a __attribute__((xcl_reqd_pipe_depth(16)));\n"
-      "void f() { float v; write_pipe_block(p_b, &v); }\n";
-  const auto issues = validate_kernel_source(src);
+      "__kernel void f() { float v; write_pipe_block(p_b, &v); }\n";
+  const auto issues = pairing_issues(src);
   bool undeclared = false, unwritten = false;
   for (const auto& i : issues) {
     if (i.message.find("p_b") != std::string::npos) undeclared = true;
     if (i.message.find("p_a") != std::string::npos) unwritten = true;
+    EXPECT_EQ(i.location.component, "pipe");
   }
   EXPECT_TRUE(undeclared);
   EXPECT_TRUE(unwritten);
@@ -277,20 +290,22 @@ TEST(ValidatorTest, CleanSourcePasses) {
       "pipe float p __attribute__((xcl_reqd_pipe_depth(16)));\n"
       "__kernel void k0() { float v; write_pipe_block(p, &v); }\n"
       "__kernel void k1() { float v; read_pipe_block(p, &v); }\n";
+  EXPECT_TRUE(pairing_issues(src).empty());
   EXPECT_TRUE(validate_kernel_source(src).empty());
 }
 
 TEST(ValidatorTest, DetectsSameKernelReadWrite) {
-  // The pre-fix validator only matched read/write tokens globally, so a
-  // kernel talking to itself through a pipe passed as "used both ways".
+  // Matching read/write calls globally would let a kernel talking to
+  // itself through a pipe pass as "used both ways".
   const std::string src =
       "pipe float p __attribute__((xcl_reqd_pipe_depth(16)));\n"
       "__kernel void k0() { float v; write_pipe_block(p, &v); "
       "read_pipe_block(p, &v); }\n";
-  const auto issues = validate_kernel_source(src);
+  const auto issues = pairing_issues(src);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].code, "SCL016");
-  EXPECT_NE(issues[0].message.find("same"), std::string::npos);
+  EXPECT_EQ(issues[0].message,
+            "pipe 'p' read and written by the same kernel 'k0'");
 }
 
 TEST(ValidatorTest, DetectsOrphanDeclaredPipes) {
@@ -298,28 +313,27 @@ TEST(ValidatorTest, DetectsOrphanDeclaredPipes) {
   const std::string src =
       "pipe float p __attribute__((xcl_reqd_pipe_depth(16)));\n"
       "__kernel void k0() { }\n";
-  const auto issues = validate_kernel_source(src);
-  bool unwritten = false, unread = false;
-  for (const auto& i : issues) {
-    if (i.code == "SCL010") unwritten = true;
-    if (i.code == "SCL011") unread = true;
-  }
-  EXPECT_TRUE(unwritten);
-  EXPECT_TRUE(unread);
+  const auto issues = pairing_issues(src);
+  ASSERT_EQ(issues.size(), 2u);
+  EXPECT_EQ(issues[0].code, "SCL010");
+  EXPECT_EQ(issues[0].message, "pipe 'p' declared but never written");
+  EXPECT_EQ(issues[1].code, "SCL011");
+  EXPECT_EQ(issues[1].message, "pipe 'p' declared but never read");
 }
 
 TEST(ValidatorTest, DetectsUndeclaredPipeUse) {
   const std::string src =
       "__kernel void k0() { float v; write_pipe_block(ghost_w, &v); }\n"
       "__kernel void k1() { float v; read_pipe_block(ghost_r, &v); }\n";
-  const auto issues = validate_kernel_source(src);
-  bool write_undeclared = false, read_undeclared = false;
-  for (const auto& i : issues) {
-    if (i.code == "SCL012") write_undeclared = true;
-    if (i.code == "SCL013") read_undeclared = true;
-  }
-  EXPECT_TRUE(write_undeclared);
-  EXPECT_TRUE(read_undeclared);
+  const auto issues = pairing_issues(src);
+  // Undeclared pipes are reported in name order.
+  ASSERT_EQ(issues.size(), 2u);
+  EXPECT_EQ(issues[0].code, "SCL013");
+  EXPECT_EQ(issues[0].message, "pipe 'ghost_r' read but not declared");
+  EXPECT_EQ(issues[1].code, "SCL012");
+  EXPECT_EQ(issues[1].message, "pipe 'ghost_w' written but not declared");
+  EXPECT_EQ(issues[1].location.detail, "ghost_w");
+  EXPECT_EQ(issues[1].location.line, -1);
 }
 
 TEST(ValidatorTest, DetectsMultipleWritersAndReaders) {
@@ -329,14 +343,12 @@ TEST(ValidatorTest, DetectsMultipleWritersAndReaders) {
       "__kernel void k1() { float v; write_pipe_block(p, &v); }\n"
       "__kernel void k2() { float v; read_pipe_block(p, &v); }\n"
       "__kernel void k3() { float v; read_pipe_block(p, &v); }\n";
-  const auto issues = validate_kernel_source(src);
-  bool writers = false, readers = false;
-  for (const auto& i : issues) {
-    if (i.code == "SCL014") writers = true;
-    if (i.code == "SCL015") readers = true;
-  }
-  EXPECT_TRUE(writers);
-  EXPECT_TRUE(readers);
+  const auto issues = pairing_issues(src);
+  ASSERT_EQ(issues.size(), 2u);
+  EXPECT_EQ(issues[0].code, "SCL014");
+  EXPECT_EQ(issues[0].message, "pipe 'p' written by multiple kernels: k0, k1");
+  EXPECT_EQ(issues[1].code, "SCL015");
+  EXPECT_EQ(issues[1].message, "pipe 'p' read by multiple kernels: k2, k3");
 }
 
 TEST(ValidatorTest, DiagnosticsCarryStableCodes) {

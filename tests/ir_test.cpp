@@ -503,6 +503,41 @@ TEST(IrVerifyTest, VerifyGeneratedIrReportsStats) {
   EXPECT_TRUE(diags.empty()) << diags.render_text();
 }
 
+TEST(IrVerifyTest, UndeclaredPipeInEmittedKernelFiresScl013) {
+  // Pipe pairing is read from the lowered module: rename the pipe of one
+  // read_pipe_block call in a real pipe-tiling design's kernels to a name
+  // no declaration carries.
+  Emitted emitted = emit_jacobi2d();
+  const std::string call = "read_pipe_block(";
+  const std::size_t at = emitted.source.find(call);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t name = at + call.size();
+  const std::size_t comma = emitted.source.find(',', name);
+  ASSERT_NE(comma, std::string::npos);
+  emitted.source.replace(name, comma - name, "p_undeclared");
+  codegen::GeneratedCode code;
+  code.kernel_source = emitted.source;
+  DiagnosticEngine diags;
+  const core::IrVerifyStats stats = core::verify_generated_ir(
+      emitted.program, emitted.config, code, &diags);
+  EXPECT_GT(stats.errors, 0);
+  bool found = false;
+  bool pass4_seen = false;
+  for (const auto& diag : diags.diagnostics()) {
+    if (diag.code.rfind("SCL4", 0) == 0) pass4_seen = true;
+    if (diag.code.rfind("SCL0", 0) == 0) {
+      EXPECT_FALSE(pass4_seen) << "SCL0xx must precede SCL4xx";
+    }
+    if (diag.code == "SCL013") {
+      found = true;
+      EXPECT_EQ(diag.message, "pipe 'p_undeclared' read but not declared");
+      EXPECT_EQ(diag.location.component, "pipe");
+      EXPECT_EQ(diag.location.detail, "p_undeclared");
+    }
+  }
+  EXPECT_TRUE(found) << diags.render_text();
+}
+
 TEST(IrVerifyTest, VerificationErrorCarriesStructuredDiagnostics) {
   DiagnosticEngine diags;
   diags.error("SCL406", "pipe 'p' is unbalanced");
