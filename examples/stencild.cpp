@@ -272,8 +272,10 @@ int main(int argc, char** argv) {
   std::string emit_dir;
   std::string stats_json_path;
   std::string metrics_out;
-  std::int64_t capacity_mb = 256;
-  std::int64_t mem_cache_mb = 64;
+  std::int64_t capacity_mb =
+      scl::serve::kDefaultDiskCapacityBytes / (1024 * 1024);
+  std::int64_t mem_cache_mb =
+      scl::serve::kDefaultMemoryCapacityBytes / (1024 * 1024);
   int threads = 0;
   DaemonCliOptions daemon_cli;
 

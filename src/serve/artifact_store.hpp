@@ -37,12 +37,16 @@
 
 namespace scl::serve {
 
+/// Default byte bound of the on-disk artifact store (every option struct
+/// that bounds the disk tier defaults to it).
+inline constexpr std::int64_t kDefaultDiskCapacityBytes = 256ll * 1024 * 1024;
+
 struct ArtifactStoreOptions {
   /// Cache root directory; created (recursively) when missing.
   std::string root;
   /// Total on-disk bytes (header + payload) to retain; least-recently-
   /// used artifacts are evicted past it. <= 0 disables eviction.
-  std::int64_t capacity_bytes = 256ll * 1024 * 1024;
+  std::int64_t capacity_bytes = kDefaultDiskCapacityBytes;
 };
 
 struct ArtifactStoreStats {

@@ -208,15 +208,7 @@ void Daemon::reader_loop(Connection* connection) {
       } catch (const Error& e) {
         // Over-long frame: answer with a structured error, then keep
         // decoding (the reader skips to the next newline itself).
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.malformed;
-        }
-        malformed_total_->increment();
-        PendingResponse bounce;
-        bounce.immediate.status = "error";
-        bounce.immediate.error = e.what();
-        enqueue(connection, std::move(bounce));
+        bounce_malformed(connection, e.what());
         continue;
       }
       if (!frame) break;
@@ -242,15 +234,7 @@ void Daemon::handle_frame(Connection* connection, const std::string& frame) {
   try {
     wire = parse_request(frame);
   } catch (const Error& e) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.malformed;
-    }
-    malformed_total_->increment();
-    PendingResponse bounce;
-    bounce.immediate.status = "error";
-    bounce.immediate.error = e.what();
-    enqueue(connection, std::move(bounce));
+    bounce_malformed(connection, e.what());
     return;
   }
 
@@ -312,6 +296,19 @@ void Daemon::handle_frame(Connection* connection, const std::string& frame) {
     pending.immediate.error = e.what();
   }
   enqueue(connection, std::move(pending));
+}
+
+void Daemon::bounce_malformed(Connection* connection,
+                              const std::string& error) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.malformed;
+  }
+  malformed_total_->increment();
+  PendingResponse bounce;
+  bounce.immediate.status = "error";
+  bounce.immediate.error = error;
+  enqueue(connection, std::move(bounce));
 }
 
 void Daemon::enqueue(Connection* connection, PendingResponse response) {

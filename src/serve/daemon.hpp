@@ -148,6 +148,8 @@ class Daemon {
   /// Parses + admits + submits one frame, enqueueing exactly one
   /// pending response on `connection`.
   void handle_frame(Connection* connection, const std::string& frame);
+  /// Counts a malformed frame and answers it with a structured error.
+  void bounce_malformed(Connection* connection, const std::string& error);
   void enqueue(Connection* connection, PendingResponse response);
   void write_frame(Connection* connection, const WireResponse& response);
   void register_metrics();

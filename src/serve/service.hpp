@@ -47,10 +47,10 @@ struct ServiceOptions {
   /// Artifact-store root; empty disables persistence (every job is a
   /// cold synthesis, coalescing still applies).
   std::string store_dir;
-  std::int64_t store_capacity_bytes = 256ll * 1024 * 1024;
+  std::int64_t store_capacity_bytes = kDefaultDiskCapacityBytes;
   /// Byte bound of the hot in-memory artifact tier; <= 0 disables it
   /// (every warm hit re-reads and re-validates its disk file).
-  std::int64_t memory_cache_bytes = 64ll * 1024 * 1024;
+  std::int64_t memory_cache_bytes = kDefaultMemoryCapacityBytes;
   /// Preload the memory tier from the most-recently-used disk artifacts
   /// at startup, so a restarted daemon answers its hot set from memory
   /// on the first request.

@@ -33,14 +33,17 @@
 
 namespace scl::serve {
 
+/// Default byte bound of the in-memory artifact tier.
+inline constexpr std::int64_t kDefaultMemoryCapacityBytes = 64ll * 1024 * 1024;
+
 struct TieredStoreOptions {
   /// Disk root (one ArtifactStore); must be non-empty.
   std::string root;
   /// Byte bound of the disk tier.
-  std::int64_t disk_capacity_bytes = 256ll * 1024 * 1024;
+  std::int64_t disk_capacity_bytes = kDefaultDiskCapacityBytes;
   /// Byte bound of the in-memory tier; <= 0 disables it (every load goes
   /// to disk, which turns the tiered store into a plain ArtifactStore).
-  std::int64_t memory_capacity_bytes = 64ll * 1024 * 1024;
+  std::int64_t memory_capacity_bytes = kDefaultMemoryCapacityBytes;
 };
 
 struct TieredStoreStats {
