@@ -25,10 +25,17 @@ metrics:
                    runs_per_sec      1 / the per-request time (pass wall
                                      time / jobs) of the cold pass under
                                      key + "/cold" and of the best warm
-                                     replay under key + "/warm", each
-                                     gated against the threshold on its
-                                     own; the floor applies to the
-                                     per-request time
+                                     replay under key + "/warm". The
+                                     floor applies to the per-request
+                                     time, and every service row sits
+                                     below it (a cold request is ~15 ms,
+                                     a warm one well under 1 ms), so all
+                                     8 are reported "skip (wall <
+                                     floor)" and none is timed: only
+                                     jobs and overload_shed gate the
+                                     service until its per-request CPU
+                                     is summed over enough repetitions
+                                     to clear the floor
                    jobs, overload_shed
                                      the suite size and the requests the
                                      depth-2 admission bound shed, under
