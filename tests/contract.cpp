@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <exception>
 
 #include "core/framework.hpp"
 #include "fpga/device.hpp"
